@@ -8,6 +8,7 @@ assert boundedness, never unspecified constants from the literature.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -75,7 +76,21 @@ class ExperimentCase:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentCase":
+        """Case from a JSON object; ValueError names the first bad key."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a case must be a JSON object, not {type(d).__name__}")
+        for key, val in d.items():
+            if key not in cls.__dataclass_fields__:
+                raise ValueError(f"unknown case key {key!r}")
+            kind = cls.__dataclass_fields__[key].type  # the annotation, as a string
+            if (isinstance(val, bool) or not isinstance(val, _JSON_TYPES[kind])
+                    or (kind == "float" and not abs(val) <= sys.float_info.max)):
+                raise ValueError(f"case key {key!r}: {val!r} is not a valid {kind}")
         return cls(**d)
+
+
+# JSON values accepted for each annotation of ExperimentCase; floats must be finite
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "dict": dict}
 
 
 def _resolve_bumps(grid: pde.PolarGrid, bumps) -> pde.DiscreteField:
@@ -126,10 +141,7 @@ def resolve_field(grid: pde.PolarGrid, spec: dict, seed: int = 0) -> pde.Discret
         out = _resolve_bumps(grid, _random_bumps_spec(rng, spec))
     else:
         raise ValueError(f"unknown field kind {kind!r}")
-    supp = spec.get("support_radius")
-    if supp is not None:
-        mask = grid.r_nodes > supp * (1 + 1e-12)
-        out.values[mask] = 0.0
+    out.values[~grid.ring_mask(spec.get("support_radius"))] = 0.0
     return out
 
 
@@ -294,17 +306,6 @@ def moser_resolve(a: float, b: float, rho0: float) -> float:
     if not 0 < rho0 < 0.5:
         raise ValueError("rho0 out of range (0, 1/2)")
     return 128.0 * a / rho0**2 + 8.0 * b / 7.0
-
-
-def select_rho0(sol: CaseSolution, C: float, p: float = 2.0,
-                threshold: float = 1 / 8) -> float | None:
-    """Largest dyadic rho0 with C (||g||*_{B_rho0} + rho0^(2-2/p)) below the
-    contraction threshold; None when even the smallest probe fails."""
-    for rho0 in (1 / 4, 1 / 8, 1 / 16, 1 / 32):
-        gnorm = 0.0 if sol.g is None else field_zygmund_norm(sol.g, rho0)
-        if C * (gnorm + rho0 ** (2.0 - 2.0 / p)) < threshold:
-            return rho0
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +474,7 @@ class GlobalEstimateResult:
 
 
 def _cutoff_eta_n(grid: pde.PolarGrid, n: int) -> np.ndarray:
-    # radial cutoff: 1 on B_{1-1/n}, 0 outside B_1
+    # radial cutoff: 1 on B_{1-1/n}, 0 outside B_1 (smoothstep is 0 for r >= 1)
     return np.asarray(smoothstep(n * (1.0 - grid.r_nodes)))
 
 
@@ -503,11 +504,7 @@ def global_estimate(f_spec: dict, n_r: int = 48, n_theta: int = 64, seed: int = 
         fnorm_full = field_zygmund_norm(f2, 1.0)
         tails, solutions = [], {}
         for n in ladder_ns:
-            eta_n = np.ones(grid2.n_r)
-            inside = grid2.r_nodes <= 1.0 + 1e-12
-            eta_n[inside] = _cutoff_eta_n(grid2, n)[inside]
-            eta_n[~inside] = 0.0
-            fn = pde.DiscreteField(grid2, f2.values * eta_n[:, None], f2.pole)
+            fn = pde.DiscreteField(grid2, f2.values * _cutoff_eta_n(grid2, n)[:, None], f2.pole)
             resid = pde.DiscreteField(grid2, f2.values - fn.values, 0.0)
             tails.append(field_zygmund_norm(resid, 1.0))
             vn, _ = pde.solve_dirichlet(grid2, None, fn, np.zeros(grid2.n_theta))
@@ -515,12 +512,8 @@ def global_estimate(f_spec: dict, n_r: int = 48, n_theta: int = 64, seed: int = 
         na, nb = ladder_ns[-2], ladder_ns[-1]
         diff = pde.DiscreteField(grid2, solutions[nb].values - solutions[na].values,
                                  solutions[nb].pole - solutions[na].pole)
-        eta_a = np.zeros(grid2.n_r)
-        eta_b = np.zeros(grid2.n_r)
-        inside = grid2.r_nodes <= 1.0 + 1e-12
-        eta_a[inside] = _cutoff_eta_n(grid2, na)[inside]
-        eta_b[inside] = _cutoff_eta_n(grid2, nb)[inside]
-        dfn = pde.DiscreteField(grid2, f2.values * (eta_b - eta_a)[:, None], 0.0)
+        eta_ab = _cutoff_eta_n(grid2, nb) - _cutoff_eta_n(grid2, na)
+        dfn = pde.DiscreteField(grid2, f2.values * eta_ab[:, None], 0.0)
         dnorm = field_zygmund_norm(dfn, 1.0)
         cauchy = VerdictReport("ladder_cauchy", diff.sup_norm(1.5),
                                ladder_constant * dnorm + 1e-9, 0.0, "global")
@@ -601,7 +594,6 @@ class CounterexampleRun:
     mean: float
     min_radius: float
     size_bound_minimal: float
-    atom_normalization: float
     atom_in_6k: object
     inner_lower_bound: float
 
@@ -659,7 +651,7 @@ def counterexample_family(k: int, n_local: int = 384) -> CounterexampleRun:
     lb = 0.5 * float(np.sum(np.log(1.0 / d0))) * h * h
 
     return CounterexampleRun(k, tuple(yk), u0_raw, u0_std, zyg, l1, mean,
-                             r_min, size_min, size_min, atom, lb)
+                             r_min, size_min, atom, lb)
 
 
 def counterexample_series(ks=(16, 32, 64, 128, 256), n_local: int = 384):

@@ -10,10 +10,11 @@ non-convergence instead of masking it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import bicgstab, cg
+from scipy.sparse.linalg import LinearOperator, bicgstab, cg
 
 from .rearrange import WeightedSamples
 from .surface import MetricProfile
@@ -51,33 +52,63 @@ class PolarGrid:
     def theta_nodes(self) -> np.ndarray:
         return self.dtheta * np.arange(self.n_theta)
 
+    def ring_mask(self, radius: float | None) -> np.ndarray:
+        """Mask of the rings with r <= radius (all rings for None)."""
+        return self.r_nodes <= (np.inf if radius is None else radius) * (1 + 1e-12)
+
     def mesh(self):
-        return np.meshgrid(self.r_nodes, self.theta_nodes, indexing="ij")
+        return geometry(self).mesh
 
     def node_positions(self):
-        R, T = self.mesh()
-        return R * np.cos(T), R * np.sin(T)
+        return geometry(self).positions
 
     @property
     def pole_volume(self) -> float:
-        # V(B_{dr/2}) by 5-point Simpson in r, trapezoid in theta
-        rr = np.linspace(0.0, self.dr / 2, 5)
-        g = self.metric.G(rr[:, None], self.theta_nodes)
-        ell = g.mean(axis=1) * 2 * np.pi
-        w = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) * (self.dr / 2 / 4) / 3.0
-        return float(np.sum(w * ell))
+        return geometry(self).pole_volume
 
     def node_weights(self) -> np.ndarray:
         """Quadrature weights G dr dtheta per node (half weight on the
         boundary ring); pole weight is pole_volume."""
-        R, T = self.mesh()
-        w = self.metric.G(R, T) * self.dr * self.dtheta
-        w[-1] *= 0.5
-        return w
+        return geometry(self).weights
 
     @property
     def total_measure(self) -> float:
         return float(self.node_weights().sum()) + self.pole_volume
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """Read-only node and face arrays of one PolarGrid, each (n_r, n_theta)."""
+
+    mesh: tuple            # (R, T)
+    positions: tuple       # planar (X, Y)
+    weights: np.ndarray    # G dr dtheta, halved on the boundary ring
+    a: np.ndarray          # radial face couplings; row 0 is the pole face
+    b: np.ndarray          # angular face couplings
+    pole_volume: float     # V(B_{dr/2}), the pole's weight
+
+
+@lru_cache(maxsize=2)
+def geometry(grid: PolarGrid) -> Geometry:
+    """The grid's geometry, built once per grid value.  Two entries cover a
+    corpus that alternates two metrics; matrices are not cached."""
+    m, dr, dth = grid.metric, grid.dr, grid.dtheta
+    rn, tn = grid.r_nodes, grid.theta_nodes
+    R, T = np.meshgrid(rn, tn, indexing="ij")
+    weights = m.G(R, T) * dr * dth
+    weights[-1] *= 0.5
+    # radial faces at r_{i+1/2}; face 0 couples the pole to ring 0
+    a = m.G((dr * (np.arange(grid.n_r) + 0.5))[:, None], tn) * dth / dr
+    # angular faces at theta_{j+1/2} on each ring
+    b = dr / (m.G(rn[:, None], tn + dth / 2) * dth)
+    # V(B_{dr/2}) by 5-point Simpson in r, trapezoid in theta
+    rr = np.linspace(0.0, dr / 2, 5)
+    ell = m.G(rr[:, None], tn).mean(axis=1) * 2 * np.pi
+    simpson = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) * (dr / 2 / 4) / 3.0
+    X, Y = R * np.cos(T), R * np.sin(T)
+    for arr in (R, T, X, Y, weights, a, b):
+        arr.flags.writeable = False
+    return Geometry((R, T), (X, Y), weights, a, b, float(np.sum(simpson * ell)))
 
 
 @dataclass
@@ -98,36 +129,24 @@ class DiscreteField:
 
     def sup_norm(self, radius: float | None = None) -> float:
         """Grid maximum of |u| over r <= radius (the discrete C-norm proxy)."""
-        if radius is None:
-            return max(abs(self.pole), float(np.max(np.abs(self.values))))
-        mask = self.grid.r_nodes <= radius * (1 + 1e-12)
-        m = abs(self.pole)
-        if np.any(mask):
-            m = max(m, float(np.max(np.abs(self.values[mask]))))
-        return m
+        vals = self.values[self.grid.ring_mask(radius)]
+        return max(abs(self.pole), float(np.max(np.abs(vals), initial=0.0)))
 
     def l1_norm(self, radius: float | None = None) -> float:
         w = self.grid.node_weights()
-        mask = np.ones(self.grid.n_r, dtype=bool)
-        if radius is not None:
-            mask = self.grid.r_nodes <= radius * (1 + 1e-12)
+        mask = self.grid.ring_mask(radius)
         return float(np.sum(np.abs(self.values[mask]) * w[mask])
                      + abs(self.pole) * self.grid.pole_volume)
 
     def min_max(self, radius: float | None = None):
-        mask = np.ones(self.grid.n_r, dtype=bool)
-        if radius is not None:
-            mask = self.grid.r_nodes <= radius * (1 + 1e-12)
-        vals = np.append(self.values[mask].ravel(), self.pole)
+        vals = np.append(self.values[self.grid.ring_mask(radius)].ravel(), self.pole)
         return float(vals.min()), float(vals.max())
 
     def as_samples(self, radius: float | None = None) -> WeightedSamples:
         """Node samples with planar positions, pole included."""
         w = self.grid.node_weights()
         X, Y = self.grid.node_positions()
-        mask = np.ones(self.grid.n_r, dtype=bool)
-        if radius is not None:
-            mask = self.grid.r_nodes <= radius * (1 + 1e-12)
+        mask = self.grid.ring_mask(radius)
         vals = np.append(self.values[mask].ravel(), self.pole)
         meas = np.append(w[mask].ravel(), self.grid.pole_volume)
         pos = np.concatenate([np.stack([X[mask].ravel(), Y[mask].ravel()], axis=-1),
@@ -153,85 +172,48 @@ def constant_field(grid: PolarGrid, value: float) -> DiscreteField:
     return DiscreteField(grid, np.full((grid.n_r, grid.n_theta), float(value)), float(value))
 
 
-def _face_coefficients(grid: PolarGrid):
-    """Coupling coefficients of the measure-scaled operator."""
-    m, dr, dth = grid.metric, grid.dr, grid.dtheta
-    rn, tn = grid.r_nodes, grid.theta_nodes
-    # radial faces at r_{i+1/2}, i = 0..n_r-1 rings (face 0 couples pole-ring0)
-    r_faces = dr * (np.arange(grid.n_r) + 0.5)
-    a = m.G(r_faces[:, None], tn) * dth / dr                  # (n_r, n_t)
-    # angular faces at theta_{j+1/2} for each ring
-    t_faces = tn + dth / 2
-    b = dr / (m.G(rn[:, None], t_faces) * dth)                # (n_r, n_t)
-    return a, b
-
-
 def laplace_beltrami_apply(grid: PolarGrid, u: DiscreteField) -> DiscreteField:
     """Second-order divergence-form Laplacian; the boundary ring is left zero
     (no one-sided closure there)."""
-    a, b = _face_coefficients(grid)
-    w = grid.metric.G(*grid.mesh()) * grid.dr * grid.dtheta
-    v = u.values
-    out = np.zeros_like(v)
-    flux_out = a[1:] * (v[1:] - v[:-1])          # between ring i and i+1
-    flux_in0 = a[0] * (v[0] - u.pole)            # pole face
-    interior = np.zeros_like(v)
-    interior[0] = flux_out[0] - flux_in0
-    interior[1:-1] = flux_out[1:] - flux_out[:-1]
+    geo = geometry(grid)
+    a, b, v = geo.a, geo.b, u.values
+    flux = a * np.diff(v, axis=0, prepend=u.pole)   # into ring i; row 0 from the pole
     ang = b * (np.roll(v, -1, axis=1) - v) - np.roll(b, 1, axis=1) * (v - np.roll(v, 1, axis=1))
-    interior[:-1] += ang[:-1]
-    out[:-1] = interior[:-1] / w[:-1]
-    pole = float(np.sum(flux_in0) / grid.pole_volume)
-    return DiscreteField(grid, out, pole)
+    out = np.zeros_like(v)
+    out[:-1] = (flux[1:] - flux[:-1] + ang[:-1]) / geo.weights[:-1]
+    return DiscreteField(grid, out, float(np.sum(flux[0]) / geo.pole_volume))
 
 
 def assemble_system(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
                     boundary: np.ndarray):
-    """Sparse SPD-for-nonnegative-g system M(-Lap + g) u = -M f + boundary flux."""
-    n_r, n_t = grid.n_r, grid.n_theta
-    a, b = _face_coefficients(grid)
-    w = grid.metric.G(*grid.mesh()) * grid.dr * grid.dtheta
-    n_int = n_r - 1
-    N = 1 + n_int * n_t
+    """Sparse SPD-for-nonnegative-g system M(-Lap + g) u = -M f + boundary flux.
 
-    def idx(i, j):
-        return 1 + i * n_t + j
-
-    gv = np.zeros((n_r, n_t)) if g is None else g.values
+    Unknowns are the pole, then rings 0..n_r-2 in theta order; the boundary
+    ring carries the Dirichlet data."""
+    geo = geometry(grid)
+    a, b, w, pv = geo.a, geo.b, geo.weights, geo.pole_volume   # only w[:-1] (full cells) is read
+    n_t = grid.n_theta
+    N = 1 + (grid.n_r - 1) * n_t
+    ids = np.arange(1, N, dtype=np.int32).reshape(grid.n_r - 1, n_t)
+    gw = 0.0 if g is None else g.values[:-1] * w[:-1]
     gp = 0.0 if g is None else g.pole
 
-    rows, cols, vals = [], [], []
-    J = np.arange(n_t)
+    diag = np.concatenate([[a[0].sum() + gp * pv],
+                           (a[:-1] + a[1:] + b[:-1] + np.roll(b[:-1], 1, axis=1) + gw).ravel()])
+    # each off-diagonal coupling once, as (lo, hi, value): pole-ring 0,
+    # ring i-ring i+1, and theta_j-theta_{j+1} (periodic) on every ring
+    lo = np.concatenate([np.zeros(n_t, np.int32), ids[:-1].ravel(), ids.ravel()])
+    hi = np.concatenate([ids[0], ids[1:].ravel(), np.roll(ids, -1, axis=1).ravel()])
+    off = -np.concatenate([a[0], a[1:-1].ravel(), b[:-1].ravel()])
+    dia = np.arange(N, dtype=np.int32)
+    A = sparse.csr_matrix((np.concatenate([diag, off, off]),
+                           (np.concatenate([dia, lo, hi]), np.concatenate([dia, hi, lo]))),
+                          shape=(N, N))
 
-    # pole row
-    rows.append(np.array([0]))
-    cols.append(np.array([0]))
-    vals.append(np.array([a[0].sum() + gp * grid.pole_volume]))
-    rows.append(np.zeros(n_t, dtype=int))
-    cols.append(idx(0, J))
-    vals.append(-a[0])
-    # symmetric counterpart: ring 0 to pole
-    rows.append(idx(0, J))
-    cols.append(np.zeros(n_t, dtype=int))
-    vals.append(-a[0])
-
-    for i in range(n_int):
-        diag = a[i] + a[i + 1] + b[i] + np.roll(b[i], 1) + gv[i] * w[i]
-        rows.append(idx(i, J)); cols.append(idx(i, J)); vals.append(diag)
-        if i + 1 < n_int:
-            rows.append(idx(i, J)); cols.append(idx(i + 1, J)); vals.append(-a[i + 1])
-            rows.append(idx(i + 1, J)); cols.append(idx(i, J)); vals.append(-a[i + 1])
-        rows.append(idx(i, J)); cols.append(idx(i, (J + 1) % n_t)); vals.append(-b[i])
-        rows.append(idx(i, (J + 1) % n_t)); cols.append(idx(i, J)); vals.append(-b[i])
-
-    A = sparse.csr_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))), shape=(N, N))
-
-    rhs = np.zeros(N)
-    rhs[0] = -f.pole * grid.pole_volume
-    for i in range(n_int):
-        rhs[idx(i, J)] = -f.values[i] * w[i]
-    rhs[idx(n_int - 1, J)] += a[n_int] * boundary
+    rhs = np.empty(N)
+    rhs[0] = -f.pole * pv
+    rhs[1:] = (-f.values[:-1] * w[:-1]).ravel()
+    rhs[-n_t:] += a[-1] * boundary
     return A, rhs
 
 
@@ -239,11 +221,15 @@ def solve_dirichlet(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
                     boundary, tol: float = 1e-10, maxiter: int | None = None):
     """Solve Lap u = g u + f with Dirichlet data on r = r_max."""
     boundary = np.broadcast_to(np.asarray(boundary, dtype=float), (grid.n_theta,)).copy()
-    if not np.all(np.isfinite(boundary)):
-        raise ValueError("boundary values must be finite")
     A, rhs = assemble_system(grid, g, f, boundary)
+    # the weights are positive and finite, so this rejects non-finite f, g or boundary data
+    if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(A.data))):
+        raise ValueError("f, g and boundary values must be finite")
     diag = A.diagonal()
-    precond = sparse.diags(1.0 / diag) if np.all(diag > 0) else None
+    precond = None
+    if np.all(diag > 0):
+        inv = 1.0 / diag
+        precond = LinearOperator(A.shape, matvec=lambda x: inv * x.ravel(), dtype=float)
     count = [0]
 
     def cb(_):
@@ -267,18 +253,17 @@ def solve_dirichlet(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
 
 def gradient_l2(grid: PolarGrid, u: DiscreteField) -> float:
     """Metric-weighted H1 seminorm via midpoint face differences."""
-    a, b = _face_coefficients(grid)
+    geo = geometry(grid)
     v = u.values
-    total = float(np.sum(a[0] * (v[0] - u.pole) ** 2))
-    total += float(np.sum(a[1:] * (v[1:] - v[:-1]) ** 2))
-    dth_sq = b[:-1] * (np.roll(v[:-1], -1, axis=1) - v[:-1]) ** 2
-    total += float(np.sum(dth_sq))
+    total = float(np.sum(geo.a[0] * (v[0] - u.pole) ** 2))
+    total += float(np.sum(geo.a[1:] * (v[1:] - v[:-1]) ** 2))
+    total += float(np.sum(geo.b[:-1] * (np.roll(v[:-1], -1, axis=1) - v[:-1]) ** 2))
     return float(np.sqrt(total))
 
 
 def lq_norm(grid: PolarGrid, u: DiscreteField, q: float) -> float:
-    w = grid.node_weights()
-    s = float(np.sum(np.abs(u.values) ** q * w) + abs(u.pole) ** q * grid.pole_volume)
+    geo = geometry(grid)
+    s = float(np.sum(np.abs(u.values) ** q * geo.weights) + abs(u.pole) ** q * geo.pole_volume)
     return s ** (1.0 / q)
 
 

@@ -21,19 +21,93 @@ from .report import VerdictReport
 _GAUSS5_X, _GAUSS5_W = np.polynomial.legendre.leggauss(5)
 
 
-@dataclass(frozen=True)
 class MetricProfile:
-    """Semi-geodesic coefficient G with radial derivatives.
+    """Semi-geodesic coefficient G of dr^2 + G^2(r, theta) dtheta^2 with its
+    radial derivatives dG and d2G, vectorized over broadcastable (r, theta)
+    arrays.  G(0, theta) = 0 and dG(0, theta) = 1 are required.
 
-    The callables are vectorized over broadcastable (r, theta) arrays.
-    G(0, theta) = 0 and dG(0, theta) = 1 are required.
-    """
+    Metrics are frozen values: built-in families compare and hash by their
+    parameters, sampled ones by identity (see ``pde.geometry``).  A family
+    defines ``_eval(k, r, t)``, the k-th radial derivative of G."""
 
     name: str
     r_max: float
-    G: callable
-    dG: callable
-    d2G: callable
+
+    def G(self, r, t):
+        return self._eval(0, r, t)
+
+    def dG(self, r, t):
+        return self._eval(1, r, t)
+
+    def d2G(self, r, t):
+        return self._eval(2, r, t)
+
+
+class _Radial(MetricProfile):
+    """G = p(r), independent of theta; ``p`` holds p, p' and p''."""
+
+    def _eval(self, k, r, t):
+        return self.p[k](r) * np.ones(np.broadcast_shapes(np.shape(r), np.shape(t)))
+
+
+@dataclass(frozen=True)
+class Flat(_Radial):
+    r_max: float = 2.0
+    name = "flat"
+    p = (np.asarray, np.ones_like, np.zeros_like)
+
+
+@dataclass(frozen=True)
+class Sphere(_Radial):
+    r_max: float = np.pi
+    name = "sphere"
+    p = (np.sin, np.cos, lambda r: -np.sin(r))
+
+
+@dataclass(frozen=True)
+class Hyperbolic(_Radial):
+    r_max: float = 3.0
+    name = "hyperbolic"
+    p = (np.sinh, np.cosh, np.sinh)
+
+
+@dataclass(frozen=True)
+class Perturbed(MetricProfile):
+    """G = r (1 + eps r^2 cos theta)."""
+
+    eps: float
+    r_max: float = 1.5
+
+    def __post_init__(self):
+        if self.eps * self.r_max**2 >= 1.0:
+            raise ValueError("perturbation degenerates the metric before r_max")
+
+    @property
+    def name(self) -> str:
+        return f"perturbed:{self.eps:g}"
+
+    def _eval(self, k, r, t):
+        r = np.asarray(r, float)
+        if k == 0:
+            return r * (1.0 + self.eps * r**2 * np.cos(t))
+        if k == 1:
+            return 1.0 + 3.0 * self.eps * r**2 * np.cos(t)
+        return 6.0 * self.eps * r * np.cos(t)
+
+
+@dataclass(frozen=True, eq=False)
+class Sampled(MetricProfile):
+    """Metric interpolated from a G lattice (see from_samples).  It compares
+    by identity: two lattices under one name are different metrics."""
+
+    name: str
+    r_max: float
+    tables: tuple  # linear interpolators of G, dG, d2G over (r, theta mod 2pi)
+
+    def _eval(self, k, r, t):
+        r, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(t, float))
+        pts = np.stack([r.ravel(), np.mod(t.ravel(), 2 * np.pi)], axis=-1)
+        return self.tables[k](pts).reshape(r.shape)
 
 
 @dataclass(frozen=True)
@@ -58,63 +132,24 @@ class FluxExponentFit:
     target: float
 
 
-def flat(r_max: float = 2.0) -> MetricProfile:
-    return MetricProfile(
-        "flat", r_max,
-        lambda r, t: np.broadcast_arrays(np.asarray(r, float), np.asarray(t, float))[0].copy(),
-        lambda r, t: np.ones(np.broadcast_shapes(np.shape(r), np.shape(t))),
-        lambda r, t: np.zeros(np.broadcast_shapes(np.shape(r), np.shape(t))),
-    )
-
-
-def sphere(r_max: float = np.pi) -> MetricProfile:
-    return MetricProfile(
-        "sphere", r_max,
-        lambda r, t: np.sin(r) * np.ones(np.broadcast_shapes(np.shape(r), np.shape(t))),
-        lambda r, t: np.cos(r) * np.ones(np.broadcast_shapes(np.shape(r), np.shape(t))),
-        lambda r, t: -np.sin(r) * np.ones(np.broadcast_shapes(np.shape(r), np.shape(t))),
-    )
-
-
-def hyperbolic(r_max: float = 3.0) -> MetricProfile:
-    return MetricProfile(
-        "hyperbolic", r_max,
-        lambda r, t: np.sinh(r) * np.ones(np.broadcast_shapes(np.shape(r), np.shape(t))),
-        lambda r, t: np.cosh(r) * np.ones(np.broadcast_shapes(np.shape(r), np.shape(t))),
-        lambda r, t: np.sinh(r) * np.ones(np.broadcast_shapes(np.shape(r), np.shape(t))),
-    )
-
-
-def perturbed(eps: float, r_max: float = 1.5) -> MetricProfile:
-    if eps * r_max**2 >= 1.0:
-        raise ValueError("perturbation degenerates the metric before r_max")
-    return MetricProfile(
-        f"perturbed:{eps:g}", r_max,
-        lambda r, t: np.asarray(r, float) * (1.0 + eps * np.asarray(r, float) ** 2 * np.cos(t)),
-        lambda r, t: 1.0 + 3.0 * eps * np.asarray(r, float) ** 2 * np.cos(t),
-        lambda r, t: 6.0 * eps * np.asarray(r, float) * np.cos(t),
-    )
+# the constructors by their family names, as from_name spells them
+flat, sphere, hyperbolic, perturbed = Flat, Sphere, Hyperbolic, Perturbed
 
 
 def from_name(name: str, r_max: float | None = None) -> MetricProfile:
     """Parse a metric spec string: flat | sphere | hyperbolic | perturbed:eps."""
     kwargs = {} if r_max is None else {"r_max": r_max}
-    if name == "flat":
-        return flat(**kwargs)
-    if name == "sphere":
-        return sphere(**kwargs)
-    if name == "hyperbolic":
-        return hyperbolic(**kwargs)
+    families = {"flat": Flat, "sphere": Sphere, "hyperbolic": Hyperbolic}
+    if name in families:
+        return families[name](**kwargs)
     if name.startswith("perturbed"):
-        eps = 0.1
-        if ":" in name:
-            eps = float(name.split(":", 1)[1])
-        return perturbed(eps, **kwargs)
+        eps = float(name.split(":", 1)[1]) if ":" in name else 0.1
+        return Perturbed(eps, **kwargs)
     raise ValueError(f"unknown metric {name!r}")
 
 
 def from_samples(r_nodes, theta_nodes, G_values, name: str = "sampled",
-                 pole_tol: float = 1e-6) -> MetricProfile:
+                 pole_tol: float = 1e-6) -> Sampled:
     """Metric from G sampled on a (r, theta) lattice; derivatives by centered
     differences (one-sided at the radial boundary), theta periodic.
 
@@ -134,25 +169,14 @@ def from_samples(r_nodes, theta_nodes, G_values, name: str = "sampled",
     d2G = np.gradient(dG, r_nodes, axis=0)
     if np.max(np.abs(dG[0] - 1.0)) > pole_tol:
         raise ValueError("pole condition dG(0, theta) = 1 violated")
+    tp = np.concatenate([theta_nodes, [theta_nodes[0] + 2 * np.pi]])
 
-    def interp(values):
-        tp = np.concatenate([theta_nodes, [theta_nodes[0] + 2 * np.pi]])
+    def table(values):
         vp = np.concatenate([values, values[:, :1]], axis=1)
-        f = RegularGridInterpolator((r_nodes, tp), vp, method="linear",
-                                    bounds_error=False, fill_value=None)
+        return RegularGridInterpolator((r_nodes, tp), vp, method="linear",
+                                       bounds_error=False, fill_value=None)
 
-        def call(r, t):
-            r, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(t, float))
-            pts = np.stack([r.ravel(), np.mod(t.ravel(), 2 * np.pi)], axis=-1)
-            return f(pts).reshape(r.shape)
-
-        return call
-
-    return MetricProfile(name, float(r_nodes[-1]), interp(G_values), interp(dG), interp(d2G))
-
-
-def _theta_nodes(n_theta: int) -> np.ndarray:
-    return 2 * np.pi * np.arange(n_theta) / n_theta
+    return Sampled(name, float(r_nodes[-1]), (table(G_values), table(dG), table(d2G)))
 
 
 def boundary_length(metric: MetricProfile, r, n_theta: int = 256):
@@ -160,7 +184,7 @@ def boundary_length(metric: MetricProfile, r, n_theta: int = 256):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0) or np.any(r > metric.r_max * (1 + 1e-12)):
         raise ValueError("radius out of range")
-    th = _theta_nodes(n_theta)
+    th = 2 * np.pi * np.arange(n_theta) / n_theta
     vals = metric.G(r[..., None], th)
     return np.squeeze(vals.mean(axis=-1) * 2 * np.pi)[()]
 

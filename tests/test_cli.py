@@ -81,6 +81,20 @@ class TestExitCodes:
         assert main(["report", "--input", str(empty)]) == 1
         assert "nothing to report" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"bogus": 1}',
+        '{"n_r": "64"}',
+        '[1, 2]',
+        '{"n_r": 16, "n_theta": 16, "f": {"kind": "constant", "value": 1e400}}',
+    ], ids=["unknown-key", "string-n_r", "array", "infinite-f"])
+    def test_bad_case_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "case.json"
+        path.write_text(text)
+        assert main(["solve", "--case", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_report_passthrough(self, tmp_path, capsys):
         path = tmp_path / "v.json"
         report.write_json([VerdictReport("ok", 1.0, 2.0)], path)

@@ -89,6 +89,46 @@ class TestOperator:
         assert u.min_max()[0] >= -1e-10
 
 
+class TestAssembly:
+    def test_rows_match_operator(self):
+        # A x - rhs is the measure-scaled residual w (-Lap u + g u + f) of the
+        # stencil apply, row by row, with the boundary ring set to the data
+        grid = pde.PolarGrid(surface.from_name("perturbed:0.1", r_max=1.0001), 16, 24, 1.0)
+        rng = np.random.default_rng(5)
+        u = pde.DiscreteField(grid, rng.normal(size=(16, 24)), 0.7)
+        g = pde.field_from_function(grid, lambda x, y: 2.0 + np.cos(3 * x) * y)
+        f = pde.field_from_function(grid, lambda x, y: np.exp(x) - y**2)
+        th = grid.theta_nodes
+        u.values[-1] = 0.3 + 0.5 * np.cos(th) - 0.2 * np.sin(2 * th)
+        A, rhs = pde.assemble_system(grid, g, f, u.values[-1])
+        got = A @ np.concatenate([[u.pole], u.values[:-1].ravel()]) - rhs
+        lap = pde.laplace_beltrami_apply(grid, u)
+        w = grid.metric.G(*grid.mesh()) * grid.dr * grid.dtheta
+        want = np.concatenate([
+            [grid.pole_volume * (-lap.pole + g.pole * u.pole + f.pole)],
+            (w * (-lap.values + g.values * u.values + f.values))[:-1].ravel()])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_geometry_cache(self):
+        r = np.linspace(0.0, 1.1, 45)
+        th = 2 * np.pi * np.arange(32) / 32
+        R, T = np.meshgrid(r, th, indexing="ij")
+        m1 = surface.from_samples(r, th, R, name="s")
+        m2 = surface.from_samples(r, th, R * (1 + 0.1 * R**2 * np.cos(T)), name="s", pole_tol=1e-2)
+        w1 = pde.PolarGrid(m1, 16, 16, 1.0).node_weights()
+        w2 = pde.PolarGrid(m2, 16, 16, 1.0).node_weights()
+        assert not np.array_equal(w1, w2)
+        # equal built-in specs are one grid value and share one record
+        g1, g2 = (pde.PolarGrid(surface.from_name("perturbed:0.05", r_max=1.0001), 16, 24, 1.0)
+                  for _ in range(2))
+        assert g1 == g2 and hash(g1) == hash(g2)
+        assert pde.geometry(g1) is pde.geometry(g2)
+        with pytest.raises(ValueError, match="read-only"):
+            g1.node_weights()[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            g1.mesh()[0][0, 0] = 1.0
+
+
 class TestNorms:
     def test_gradient_quadratic(self):
         g = flat_grid(128, 32)
