@@ -180,6 +180,8 @@ def cmd_global(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    if args.kmin <= 10 or args.kmax < 2 * args.kmin:
+        raise ValueError(f"need --kmin > 10 and --kmax >= 2 * --kmin, got {args.kmin}, {args.kmax}")
     ks = []
     k = args.kmin
     while k <= args.kmax:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -598,6 +599,25 @@ class CounterexampleRun:
     inner_lower_bound: float
 
 
+@lru_cache(maxsize=1)
+def _unit_bump_cells(n_local: int):
+    """(h, support cells of eta sorted by eta descending with ties by index,
+    their eta, core cells |z| < 1) of the n_local^2 grid over [-2, 2]^2 in
+    z = k(y - y_k), built once for all k; the arrays are read-only."""
+    if n_local < 1:
+        raise ValueError("need n_local >= 1")
+    h = 4.0 / n_local
+    c = -2.0 + h * (np.arange(n_local) + 0.5)
+    X, Y = np.meshgrid(c, c, indexing="ij")
+    pts, s = np.stack([X.ravel(), Y.ravel()], axis=-1), np.hypot(X, Y).ravel()
+    e = eta_radial(s)
+    order = np.argsort(-e, kind="stable")[:np.count_nonzero(e)]
+    z, ev, core = pts[order], e[order], pts[s < 1.0]
+    for arr in (z, ev, core):
+        arr.flags.writeable = False
+    return h, z, ev, core
+
+
 def counterexample_family(k: int, n_local: int = 384) -> CounterexampleRun:
     """The paired-bump source f_k = k^2 eta(k(x-y_k)) - k^2 eta(k(x+y_k)) with
     y_k = (4/k, 4/k), the damped Laplacian source f_k / A_k, and the potential
@@ -611,26 +631,22 @@ def counterexample_family(k: int, n_local: int = 384) -> CounterexampleRun:
     `inner_lower_bound` is the same integral restricted to the core
     |y - y_k| < 1/k, where eta = 1: (pi/2) ln k + const, the paper's lower
     bound; eta >= 1 on B_1 makes it <= u0_raw.  Both integrals are midpoint
-    sums on an n_local^2 grid over [-2, 2]^2 in z = k(y - y_k)."""
+    sums on one n_local^2 grid over [-2, 2]^2 in z = k(y - y_k), shared by all
+    k (`_unit_bump_cells`).  The second bump's cells are the first's negated,
+    so the potential sums the folded density (1/2) k^2 eta over the first."""
     if k <= 10:
         raise ValueError("need k > 10")
-    h = 4.0 / n_local
-    c = -2.0 + h * (np.arange(n_local) + 0.5)
-    X, Y = np.meshgrid(c, c, indexing="ij")
-    e = eta_radial(np.hypot(X, Y))
-    keep = e > 0
-    z = np.stack([X[keep], Y[keep]], axis=-1)
-    ev = e[keep]
+    h, z, ev, core = _unit_bump_cells(n_local)
     cell = (h / k) ** 2
     yk = np.array([4.0 / k, 4.0 / k])
 
-    pos = np.concatenate([yk + z / k, -yk - z / k])
+    near = yk + z / k
+    pos = np.concatenate([near, -near])
     f_vals = np.concatenate([k**2 * ev, -(k**2) * ev])
     meas = np.full(pos.shape[0], cell)
     f_samples = WeightedSamples(f_vals, meas, pos)
 
-    rho_vals = np.concatenate([k**2 * ev, -(k**2) * ev / 2.0])
-    rho_samples = WeightedSamples(rho_vals, meas, pos)
+    rho_samples = WeightedSamples(k**2 * ev / 2.0, meas[:ev.size], near)
     u0_std = float(pde.log_potential(rho_samples, [(0.0, 0.0)])[0])
     u0_raw = 2 * np.pi * abs(u0_std)
 
@@ -638,16 +654,13 @@ def counterexample_family(k: int, n_local: int = 384) -> CounterexampleRun:
     l1 = float(np.sum(np.abs(f_vals) * meas))
     # sum the two antisymmetric bumps separately: the partial sums are exact
     # negations of each other, so the mean vanishes identically
-    n_half = ev.size
-    mean = float((np.sum(f_vals[:n_half]) + np.sum(f_vals[n_half:])) * cell)
+    mean = float((np.sum(f_vals[:ev.size]) + np.sum(f_vals[ev.size:])) * cell)
     atom = atom_check(f_samples, ((0.0, 0.0), 6.0 / k))
     r_min = atom.min_radius
     size_min = k**2 * np.pi * r_min**2
 
     # restricted lower-bound integral over the unit-scale core |y - y_k| < 1/k
-    inner = np.hypot(X, Y) < 1.0
-    zi = np.stack([X[inner], Y[inner]], axis=-1)
-    d0 = np.hypot(zi[:, 0] / k + yk[0], zi[:, 1] / k + yk[1])
+    d0 = np.hypot(core[:, 0] / k + yk[0], core[:, 1] / k + yk[1])
     lb = 0.5 * float(np.sum(np.log(1.0 / d0))) * h * h
 
     return CounterexampleRun(k, tuple(yk), u0_raw, u0_std, zyg, l1, mean,

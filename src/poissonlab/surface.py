@@ -122,6 +122,8 @@ class IsoperimetricEstimate:
     A_iso: float
     A_curv: float
     p: float
+    volumes: tuple  # V(B_r) per probed radius
+    lengths: tuple  # l(dB_r) per probed radius
 
 
 @dataclass(frozen=True)
@@ -244,9 +246,10 @@ def isoperimetric_constant(metric: MetricProfile, radii, p: float = 2.0,
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         raise ValueError("empty radii list")
-    ratios = [ball_volume(metric, r, n_r, n_theta) / boundary_length(metric, r, n_theta) ** 2
-              for r in radii]
-    return IsoperimetricEstimate(float(max(ratios)), curvature_lp_norm(metric, p, None, n_r, n_theta), p)
+    vols = tuple(ball_volume(metric, r, n_r, n_theta) for r in radii)
+    ells = tuple(float(boundary_length(metric, r, n_theta)) for r in radii)
+    return IsoperimetricEstimate(max(v / ell**2 for v, ell in zip(vols, ells)),
+                                 curvature_lp_norm(metric, p, None, n_r, n_theta), p, vols, ells)
 
 
 def geometry_bounds_verdicts(metric: MetricProfile, A: float, p: float, radii,
@@ -254,8 +257,6 @@ def geometry_bounds_verdicts(metric: MetricProfile, A: float, p: float, radii,
     """The four volume/length bounds (two lower via the isoperimetric constant,
     two upper via the curvature bound), each aggregated over the probed radii."""
     radii = np.asarray(radii, dtype=float)
-    if radii.size == 0:
-        raise ValueError("empty radii list")
     est = isoperimetric_constant(metric, radii, p, n_r, n_theta)
     case = ""
     if A < est.A_iso * (1 - 1e-9) or A < est.A_curv * (1 - 1e-9):
@@ -263,9 +264,7 @@ def geometry_bounds_verdicts(metric: MetricProfile, A: float, p: float, radii,
                 f"or A_curv={est.A_curv:g}")
     up = (2 * np.pi + A) ** (p + 1)
     worst = {}
-    for r in radii:
-        vol = ball_volume(metric, r, n_r, n_theta)
-        ell = float(boundary_length(metric, r, n_theta))
+    for r, vol, ell in zip(radii, est.volumes, est.lengths):
         checks = {
             "lower_volume": (r**2 / (4 * A), vol),
             "lower_length": (r / (2 * A), ell),
@@ -285,16 +284,6 @@ def geometry_bounds_check(metric: MetricProfile, A: float, p: float, radii,
     return max(verdicts, key=lambda v: v.ratio)
 
 
-def _inverse_length_integral(metric: MetricProfile, knots: np.ndarray, n_theta: int) -> np.ndarray:
-    # per-segment Gauss-5 integrals of 1/l between consecutive knots
-    lo, hi = knots[:-1], knots[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _GAUSS5_X  # (nseg, 5)
-    ell = np.atleast_2d(boundary_length(metric, nodes.ravel(), n_theta)).reshape(nodes.shape)
-    return np.sum(_GAUSS5_W / ell, axis=1) * half
-
-
 def kernel_weight(metric: MetricProfile, R: float, d: float, n: int = 512,
                   n_theta: int = 256) -> float:
     """h = int_d^R dr / l(dB_r); flat metric gives ln(R/d) / 2pi."""
@@ -305,8 +294,7 @@ def kernel_weight(metric: MetricProfile, R: float, d: float, n: int = 512,
     if d == 0.0:
         warnings.warn("singular endpoint: inner cutoff at first grid node")
         d = R / (2 * n)
-    knots = np.linspace(d, R, n + 1)
-    return float(np.sum(_inverse_length_integral(metric, knots, n_theta)))
+    return float(kernel_weight_profile(metric, R, d, n, n_theta))
 
 
 def kernel_weight_profile(metric: MetricProfile, R: float, r_eval, n: int = 512,
@@ -320,7 +308,13 @@ def kernel_weight_profile(metric: MetricProfile, R: float, r_eval, n: int = 512,
     knots = np.union1d(rs, np.linspace(rs[0], R, n + 1))
     if knots[-1] < R:
         knots = np.append(knots, R)
-    seg = _inverse_length_integral(metric, knots, n_theta)
+    # per-segment Gauss-5 integrals of 1/l between consecutive knots
+    lo, hi = knots[:-1], knots[1:]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = mid[:, None] + half[:, None] * _GAUSS5_X  # (nseg, 5)
+    ell = np.atleast_2d(boundary_length(metric, nodes.ravel(), n_theta)).reshape(nodes.shape)
+    seg = np.sum(_GAUSS5_W / ell, axis=1) * half
     h_at = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
     return np.interp(r_eval, knots, h_at)
 

@@ -95,6 +95,17 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--kmin", "0"],
+        ["--kmin", "16", "--kmax", "8"],
+        ["--kmin", "12", "--kmax", "12"],
+        ["--n-local", "0"],
+    ], ids=["kmin-0", "kmax-below-kmin", "one-k", "n-local-0"])
+    def test_bad_counterexample_one_line(self, capsys, argv):
+        assert main(["counterexample", *argv]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_report_passthrough(self, tmp_path, capsys):
         path = tmp_path / "v.json"
         report.write_json([VerdictReport("ok", 1.0, 2.0)], path)

@@ -119,6 +119,46 @@ class TestCounterexample:
         assert not r64.atom_in_6k.support_ok
 
 
+class TestCounterexampleCells:
+    # reference fields at n_local=128 from a per-k grid in grid order; the
+    # shared presorted cells and the folded potential must reproduce them,
+    # u0 only to roundoff because its sum runs in another order
+    PINNED = {
+        16: dict(zygmund=71.61281349614029, l1=14.306302186047994, mean=0.0,
+                 min_radius=0.47801113393417843, size_bound_minimal=183.76629644633616,
+                 inner_lower_bound=1.6387782952315526,
+                 u0_raw=3.7186398841860138, u0_standard=-0.5918399191468773),
+        64: dict(zygmund=111.27830559413128, l1=14.306302186047994, mean=0.0,
+                 min_radius=0.11950278348354461, size_bound_minimal=183.76629644633616,
+                 inner_lower_bound=3.823816477699818,
+                 u0_raw=8.676826396434887, u0_standard=-1.3809598113428498),
+    }
+
+    @pytest.mark.parametrize("k", [16, 64])
+    def test_pinned_fields(self, k):
+        run = estimates.counterexample_family(k, n_local=128)
+        want = self.PINNED[k]
+        for name in ("zygmund", "l1", "mean", "min_radius", "size_bound_minimal",
+                     "inner_lower_bound"):
+            assert getattr(run, name) == want[name], name
+        for name in ("u0_raw", "u0_standard"):
+            assert getattr(run, name) == pytest.approx(want[name], rel=1e-14, abs=0.0), name
+
+    def test_unit_cells_cached_read_only(self):
+        cells = estimates._unit_bump_cells(96)
+        assert estimates._unit_bump_cells(96) is cells
+        h, z, ev, core = cells
+        assert h == 4.0 / 96
+        assert np.all(np.diff(ev) <= 0.0)
+        for arr in (z, ev, core):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_bad_n_local(self):
+        with pytest.raises(ValueError, match="n_local"):
+            estimates.counterexample_family(16, n_local=0)
+
+
 class TestInterior:
     def test_closed_form_ratio(self):
         case = estimates.ExperimentCase(n_r=64, n_theta=64,
