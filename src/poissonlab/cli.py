@@ -37,15 +37,16 @@ def _load_samples(path) -> WeightedSamples:
     rows = _load_json(path)
     if not isinstance(rows, list) or not rows:
         raise InputError(f"{path!r}: expected a nonempty JSON array of rows")
-    widths = {len(r) for r in rows if isinstance(r, list)}
+    widths = {len(r) if isinstance(r, list) else -1 for r in rows}
+    if widths not in ({2}, {4}) or not all(type(x) in (int, float) and abs(x) <= sys.float_info.max
+                                           for r in rows for x in r):
+        raise InputError(f"{path!r}: rows must be (value, measure) or (value, r, theta, measure) "
+                         "arrays of finite numbers")
+    arr = np.asarray(rows, dtype=float)
     if widths == {2}:
-        arr = np.asarray(rows, dtype=float)
         return WeightedSamples(arr[:, 0], arr[:, 1])
-    if widths == {4}:
-        arr = np.asarray(rows, dtype=float)
-        pos = np.stack([arr[:, 1] * np.cos(arr[:, 2]), arr[:, 1] * np.sin(arr[:, 2])], axis=-1)
-        return WeightedSamples(arr[:, 0], arr[:, 3], pos)
-    raise InputError(f"{path!r}: rows must be (value, measure) or (value, r, theta, measure)")
+    pos = np.stack([arr[:, 1] * np.cos(arr[:, 2]), arr[:, 1] * np.sin(arr[:, 2])], axis=-1)
+    return WeightedSamples(arr[:, 0], arr[:, 3], pos)
 
 
 def _emit(verdicts, args, series=None):
@@ -57,8 +58,6 @@ def _emit(verdicts, args, series=None):
         else:
             report.write_json(verdicts, out)
     elif fmt == "csv":
-        if not verdicts:
-            raise InputError("nothing to report")
         if out is None:
             raise InputError("csv output requires --out")
         report.write_csv(verdicts, out)
@@ -72,8 +71,6 @@ def _emit(verdicts, args, series=None):
         else:
             x, y, xlabel, ylabel, title = series
             report.write_svg(out, x, y, xlabel=xlabel, ylabel=ylabel, title=title)
-    else:
-        raise InputError(f"unknown format {fmt!r}")
 
 
 def _finish(verdicts, args, series=None) -> int:
@@ -103,7 +100,7 @@ def cmd_verify_norms(args) -> int:
     else:
         rng = np.random.default_rng(args.seed)
         f = WeightedSamples(rng.normal(size=200), rng.uniform(0.01, 1.0, size=200))
-    prof = rearrange(f.abs())
+    prof = rearrange(f)
     l1_direct = float(np.sum(np.abs(f.values) * f.measures))
     l1_star = float(np.sum(prof.values * np.diff(prof.breakpoints)))
     domain = args.domain_measure if args.domain_measure is not None else f.total_measure
@@ -193,15 +190,12 @@ def cmd_counterexample(args) -> int:
                           f"zygmund={r.zygmund:.6g};atom={r.size_bound_minimal:.6g}")
             for r in runs]
     if args.format == "csv" and args.out is not None:
-        import csv as _csv
-        with open(args.out, "w", newline="") as fh:
-            w = _csv.writer(fh, lineterminator="\n")
-            w.writerow(["k", "u0_raw", "u0_standard", "zygmund_norm",
-                        "l1_norm", "atom_size_bound", "min_radius"])
-            for r in runs:
-                w.writerow([r.k, f"{r.u0_raw:.10g}", f"{r.u0_standard:.10g}",
-                            f"{r.zygmund:.10g}", f"{r.l1:.10g}",
-                            f"{r.size_bound_minimal:.10g}", f"{r.min_radius:.10g}"])
+        header = ["k", "u0_raw", "u0_standard", "zygmund_norm", "l1_norm", "atom_size_bound",
+                  "min_radius"]
+        report.write_table(args.out, header, [
+            [r.k] + [f"{x:.10g}" for x in (r.u0_raw, r.u0_standard, r.zygmund, r.l1,
+                                           r.size_bound_minimal, r.min_radius)]
+            for r in runs])
     elif args.format == "svg" and args.out is not None:
         report.write_svg(args.out, np.log(ks).tolist(), [r.u0_raw for r in runs],
                          xlabel="ln k", ylabel="|u_k(0)|", title="potential growth")

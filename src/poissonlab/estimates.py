@@ -15,7 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import pde, surface
-from .rearrange import WeightedSamples, atom_check, bmo_norm, rearrange, zygmund_norm
+from .rearrange import (AtomVerdict, StepProfile, WeightedSamples, atom_check, bmo_norm,
+                        rearrange, zygmund_norm)
 from .report import VerdictReport
 
 
@@ -221,6 +222,8 @@ def run_interior_corpus(n_cases: int = 100, seed: int = 0, n_r: int = 32,
                         n_theta: int = 48, solver_tol: float = 1e-9):
     """Measured interior constant (sup of per-case ratios) over a random
     corpus of flat and perturbed-metric cases with g >= 0."""
+    if n_cases < 1:
+        raise ValueError(f"need at least one case, got {n_cases}")
     metrics = ["flat", "perturbed:0.05"]
     reports = []
     skipped = 0
@@ -255,6 +258,8 @@ def harnack_spike_corpus(ks=(8, 16, 32, 64), n_r: int = 48, n_theta: int = 64,
                          center=(0.3, 0.0)):
     """Sink spikes normalized to unit Zygmund norm with boundary data 1; the
     point is that the resulting ratios stay bounded in k."""
+    if any(k <= 0 for k in ks):
+        raise ValueError(f"spike widths k must be positive, got {list(ks)}")
     ratios = []
     for k in ks:
         probe = ExperimentCase(
@@ -316,8 +321,6 @@ def moser_resolve(a: float, b: float, rho0: float) -> float:
 def atom_proxy_norm(f: WeightedSamples, center=(0.0, 0.0)) -> float:
     """sup|f| times the area of the minimal ball about `center` containing the
     support; the atomic-norm proxy for a single signed blob pair."""
-    if f.positions is None:
-        raise ValueError("samples carry no positions")
     verdict = atom_check(f, (center, np.inf))
     return float(np.max(np.abs(f.values)) * np.pi * verdict.min_radius**2)
 
@@ -612,7 +615,8 @@ def _unit_bump_cells(n_local: int):
     pts, s = np.stack([X.ravel(), Y.ravel()], axis=-1), np.hypot(X, Y).ravel()
     e = eta_radial(s)
     order = np.argsort(-e, kind="stable")[:np.count_nonzero(e)]
-    z, ev, core = pts[order], e[order], pts[s < 1.0]
+    # z column-major, so that shifting it by y_k runs along whole columns
+    z, ev, core = np.asfortranarray(pts[order]), e[order], pts[s < 1.0]
     for arr in (z, ev, core):
         arr.flags.writeable = False
     return h, z, ev, core
@@ -641,22 +645,25 @@ def counterexample_family(k: int, n_local: int = 384) -> CounterexampleRun:
     yk = np.array([4.0 / k, 4.0 / k])
 
     near = yk + z / k
-    pos = np.concatenate([near, -near])
-    f_vals = np.concatenate([k**2 * ev, -(k**2) * ev])
-    meas = np.full(pos.shape[0], cell)
-    f_samples = WeightedSamples(f_vals, meas, pos)
-
-    rho_samples = WeightedSamples(k**2 * ev / 2.0, meas[:ev.size], near)
+    kev = k**2 * ev
+    rho_samples = WeightedSamples(kev / 2.0, np.full(ev.size, cell), near)
     u0_std = float(pde.log_potential(rho_samples, [(0.0, 0.0)])[0])
     u0_raw = 2 * np.pi * abs(u0_std)
 
-    zyg = zygmund_norm(f_samples, np.pi)
-    l1 = float(np.sum(np.abs(f_vals) * meas))
-    # sum the two antisymmetric bumps separately: the partial sums are exact
-    # negations of each other, so the mean vanishes identically
-    mean = float((np.sum(f_vals[:ev.size]) + np.sum(f_vals[ev.size:])) * cell)
-    atom = atom_check(f_samples, ((0.0, 0.0), 6.0 / k))
-    r_min = atom.min_radius
+    # |f_k| is kev on both bumps and all cells have measure `cell`, so the
+    # stable rearrangement of f_k repeats each value of kev twice
+    zyg = StepProfile(np.concatenate([[0.0], np.cumsum(np.full(2 * ev.size, cell))]),
+                      np.repeat(kev, 2)).zygmund_norm(np.pi)
+    # l1 and the atom's mean sum over both bumps' cells, the first bump first
+    p = kev * cell
+    l1 = float(np.sum(np.concatenate([p, p])))
+    # the two bumps' partial sums are exact negations: the mean vanishes identically
+    mean = float((np.sum(kev) + np.sum(-kev)) * cell)
+    # atom check on B_{6/k}(0): |-near| = |near|, and kev[0] is sup|f_k|
+    radius = 6.0 / k
+    r_min = float(np.hypot(near[:, 0], near[:, 1]).max())
+    atom = AtomVerdict(r_min <= radius, float(np.sum(np.concatenate([p, -p]))),
+                       float(kev[0] * np.pi * radius**2), ((0.0, 0.0), radius), r_min)
     size_min = k**2 * np.pi * r_min**2
 
     # restricted lower-bound integral over the unit-scale core |y - y_k| < 1/k

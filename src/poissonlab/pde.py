@@ -281,7 +281,7 @@ def log_potential(f: WeightedSamples, eval_points, correct_singular: bool = True
         near = d < radii
         if np.any(near) and not correct_singular:
             raise ValueError("evaluation point inside a source cell; enable the singular correction")
-        far = ~near
+        far = ~near if np.any(near) else slice(None)  # no copies when no cell contains p
         acc = float(np.sum(f.values[far] * f.measures[far] * np.log(np.maximum(d[far], 1e-300))))
         if np.any(near):
             acc += float(np.sum(f.values[near] * f.measures[near]

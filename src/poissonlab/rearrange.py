@@ -52,9 +52,6 @@ class WeightedSamples:
     def scaled(self, c: float) -> "WeightedSamples":
         return WeightedSamples(self.values * c, self.measures, self.positions)
 
-    def abs(self) -> "WeightedSamples":
-        return WeightedSamples(np.abs(self.values), self.measures, self.positions)
-
 
 @dataclass(frozen=True)
 class StepProfile:
@@ -74,6 +71,18 @@ class StepProfile:
     @property
     def support_measure(self) -> float:
         return float(self.breakpoints[-1])
+
+    def zygmund_norm(self, domain_measure: float) -> float:
+        """int_0^inf f*(t) ln(domain_measure / t) dt via the exact per-step
+        antiderivative t ln(|X|/t) + t, which is 0 at t = 0 (the first
+        breakpoint; the later ones are positive)."""
+        if domain_measure <= 0:
+            raise ValueError("domain measure must be positive")
+        if self.support_measure > domain_measure * (1 + 1e-12):
+            raise ValueError("domain smaller than support")
+        t = self.breakpoints[1:]
+        ft = np.concatenate([[0.0], t * (np.log(domain_measure / t) + 1.0)])
+        return float(np.sum(self.values * np.diff(ft)))
 
 
 @dataclass(frozen=True)
@@ -99,8 +108,6 @@ def rearrange(f: WeightedSamples) -> StepProfile:
     keep = absval > 0.0
     absval = absval[keep]
     meas = f.measures[keep]
-    if absval.size == 0:
-        return StepProfile(np.array([0.0]), np.array([]))
     order = np.argsort(-absval, kind="stable")
     vals = absval[order]
     cum = np.concatenate([[0.0], np.cumsum(meas[order])])
@@ -108,24 +115,8 @@ def rearrange(f: WeightedSamples) -> StepProfile:
 
 
 def zygmund_norm(f: WeightedSamples, domain_measure: float) -> float:
-    """int_0^inf f*(t) ln(domain_measure / t) dt via the exact per-step
-    antiderivative t ln(|X|/t) + t."""
-    prof = rearrange(f)
-    supp = prof.support_measure
-    if domain_measure <= 0:
-        raise ValueError("domain measure must be positive")
-    if supp > domain_measure * (1 + 1e-12):
-        raise ValueError("domain smaller than support")
-
-    def anti(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        pos = t > 0
-        out[pos] = t[pos] * (np.log(domain_measure / t[pos]) + 1.0)
-        return out
-
-    ft = anti(prof.breakpoints)
-    return float(np.sum(prof.values * np.diff(ft)))
+    """int_0^inf f*(t) ln(domain_measure / t) dt (see StepProfile.zygmund_norm)."""
+    return rearrange(f).zygmund_norm(domain_measure)
 
 
 def zygmund_modular(f: WeightedSamples) -> float:

@@ -49,11 +49,15 @@ def write_csv(verdicts, path) -> None:
     if not verdicts:
         raise ValueError("nothing to report")
     fields = ["name", "lhs", "rhs", "ratio", "pass", "tol", "case"]
+    write_table(path, fields, ([v.to_dict()[f] for f in fields] for v in verdicts))
+
+
+def write_table(path, header, rows) -> None:
+    """Write a header line and one CSV line per row."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for v in verdicts:
-            writer.writerow(v.to_dict())
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _fmt(x: float) -> str:

@@ -246,6 +246,8 @@ def isoperimetric_constant(metric: MetricProfile, radii, p: float = 2.0,
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         raise ValueError("empty radii list")
+    if n_r < 1 or n_theta < 1:
+        raise ValueError(f"need n_r >= 1 and n_theta >= 1, got {n_r}, {n_theta}")
     vols = tuple(ball_volume(metric, r, n_r, n_theta) for r in radii)
     ells = tuple(float(boundary_length(metric, r, n_theta)) for r in radii)
     return IsoperimetricEstimate(max(v / ell**2 for v, ell in zip(vols, ells)),

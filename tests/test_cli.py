@@ -106,6 +106,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-geometry", "--A", "1", "--n-r", "0"],
+        ["verify-geometry", "--A", "1", "--n-theta", "0"],
+        ["interior", "--cases", "0"],
+        ["harnack", "--ks", "0"],
+        ["harnack", "--ks", "-8"],
+    ], ids=["n-r-0", "n-theta-0", "no-cases", "k-0", "k-negative"])
+    def test_bad_argument_one_line(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("rows", [
+        [[1, {}], [2, 3]],
+        [[1, 2, 3, {}]],
+        [[1, "2"]],
+        [[1, 0.5], 3],
+        [[10**400, 1]],
+    ], ids=["object-entry", "object-entry-polar", "string-entry", "scalar-row", "huge-int"])
+    def test_bad_norm_rows_one_line(self, tmp_path, capsys, rows):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(rows))
+        assert main(["verify-norms", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_report_passthrough(self, tmp_path, capsys):
         path = tmp_path / "v.json"
         report.write_json([VerdictReport("ok", 1.0, 2.0)], path)
@@ -176,3 +202,4 @@ class TestSubcommands:
 
     def test_global_small(self, capsys):
         assert main(["global", "--cases", "1", "--n-r", "24", "--n-theta", "32"]) == 0
+

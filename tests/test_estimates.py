@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from poissonlab import estimates, pde, surface
-from poissonlab.rearrange import WeightedSamples
+from poissonlab.rearrange import WeightedSamples, atom_check, zygmund_norm
 
 
 class TestBump:
@@ -143,6 +143,33 @@ class TestCounterexampleCells:
             assert getattr(run, name) == want[name], name
         for name in ("u0_raw", "u0_standard"):
             assert getattr(run, name) == pytest.approx(want[name], rel=1e-14, abs=0.0), name
+
+    @staticmethod
+    def _full_samples(k, n_local):
+        # the two-bump source on all of its cells, first bump then its negation
+        h, z, ev, _ = estimates._unit_bump_cells(n_local)
+        near = np.array([4.0 / k, 4.0 / k]) + z / k
+        return WeightedSamples(np.concatenate([k**2 * ev, -(k**2) * ev]),
+                               np.full(2 * ev.size, (h / k) ** 2),
+                               np.concatenate([near, -near]))
+
+    @pytest.mark.parametrize("k", [16, 64])
+    def test_atom_matches_full_check(self, k):
+        run = estimates.counterexample_family(k, n_local=128)
+        want = atom_check(self._full_samples(k, 128), ((0.0, 0.0), 6.0 / k))
+        got = run.atom_in_6k
+        assert got.support_ok is want.support_ok
+        for name in ("mean", "size_bound", "min_radius"):
+            assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex(), name
+        (gc, gr), (wc, wr) = got.ball, want.ball
+        assert [float(x).hex() for x in (*gc, gr)] == [float(x).hex() for x in (*wc, wr)]
+
+    @pytest.mark.parametrize("k", [16, 64])
+    def test_norms_match_full_samples(self, k):
+        run = estimates.counterexample_family(k, n_local=128)
+        full = self._full_samples(k, 128)
+        assert run.zygmund.hex() == zygmund_norm(full, np.pi).hex()
+        assert run.l1.hex() == float(np.sum(np.abs(full.values) * full.measures)).hex()
 
     def test_unit_cells_cached_read_only(self):
         cells = estimates._unit_bump_cells(96)

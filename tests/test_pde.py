@@ -1,4 +1,6 @@
 """Unit tests for the discrete Laplace-Beltrami operator and potentials."""
+import math
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,35 @@ class TestLogPotential:
     def test_zero_source(self):
         f = WeightedSamples([0.0, 0.0], [1.0, 1.0], [[0.0, 0.0], [0.5, 0.0]])
         assert pde.log_potential(f, [(0.3, 0.2)])[0] == 0.0
+
+    @staticmethod
+    def _brute(f, p):
+        # the midpoint rule term by term, with the equal-area disk integral on
+        # every cell that contains p
+        total = []
+        for v, w, (x, y) in zip(f.values, f.measures, f.positions):
+            d, r = np.hypot(x - p[0], y - p[1]), np.sqrt(w / np.pi)
+            total.append(v * w * (np.log(r) - 0.5 if d < r else np.log(d)))
+        return math.fsum(total) / (2 * np.pi)
+
+    def _random_cells(self, seed=3, n=400):
+        rng = np.random.default_rng(seed)
+        return WeightedSamples(rng.normal(size=n), rng.uniform(1e-4, 4e-3, size=n),
+                               rng.uniform(-1.0, 1.0, size=(n, 2)))
+
+    def test_outside_every_cell_matches_brute_force(self):
+        f = self._random_cells()
+        p = (1.5, -0.25)
+        assert pde.log_potential(f, [p])[0] == pytest.approx(self._brute(f, p), rel=1e-14,
+                                                             abs=0.0)
+
+    def test_inside_a_cell_takes_singular_correction(self):
+        f = self._random_cells()
+        p = tuple(f.positions[7])
+        u = pde.log_potential(f, [p])[0]
+        assert u == pytest.approx(self._brute(f, p), rel=1e-14, abs=0.0)
+        with pytest.raises(ValueError, match="singular"):
+            pde.log_potential(f, [p], correct_singular=False)
 
     def test_singular_cell_rejected_without_correction(self):
         f = WeightedSamples([1.0], [1.0], [[0.0, 0.0]])
