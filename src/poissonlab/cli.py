@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
 Exit codes: 0 all verdicts pass, 2 any verdict fails, 1 input error
-(malformed JSON reported with line/column, missing files by path).
+(malformed JSON reported with line/column, missing files by path, usage
+errors as one line).
 """
 from __future__ import annotations
 
@@ -12,12 +13,17 @@ import sys
 import numpy as np
 
 from . import estimates, pde, report, surface
-from .rearrange import WeightedSamples, direct_pairing, pairing_upper, rearrange, zygmund_norm
+from .rearrange import WeightedSamples, direct_pairing, pairing_upper, rearrange
 from .report import VerdictReport
 
 
 class InputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 1: argparse's exit 2 means a failed verdict
+        raise InputError(f"{self.prog}: {message}")
 
 
 def _load_json(path):
@@ -50,27 +56,20 @@ def _load_samples(path) -> WeightedSamples:
 
 
 def _emit(verdicts, args, series=None):
-    fmt = args.format
-    out = args.out
-    if fmt == "json":
-        if out is None:
-            print(json.dumps([v.to_dict() for v in verdicts], indent=2, sort_keys=True))
-        else:
-            report.write_json(verdicts, out)
+    fmt, out = args.format, args.out
+    if fmt == "json" and out is None:
+        print(json.dumps([v.to_dict() for v in verdicts], indent=2, sort_keys=True))
+    elif out is None:
+        raise InputError(f"{fmt} output requires --out")
+    elif fmt == "json":
+        report.write_json(verdicts, out)
     elif fmt == "csv":
-        if out is None:
-            raise InputError("csv output requires --out")
         report.write_csv(verdicts, out)
-    elif fmt == "svg":
-        if out is None:
-            raise InputError("svg output requires --out")
-        if series is None:
-            x = list(range(len(verdicts)))
-            y = [v.ratio for v in verdicts]
-            report.write_svg(out, x, y, xlabel="verdict index", ylabel="lhs/rhs", title="verdict ratios")
-        else:
-            x, y, xlabel, ylabel, title = series
-            report.write_svg(out, x, y, xlabel=xlabel, ylabel=ylabel, title=title)
+    else:
+        x, y, xlabel, ylabel, title = series or (list(range(len(verdicts))),
+                                                 [v.ratio for v in verdicts],
+                                                 "verdict index", "lhs/rhs", "verdict ratios")
+        report.write_svg(out, x, y, xlabel=xlabel, ylabel=ylabel, title=title)
 
 
 def _finish(verdicts, args, series=None) -> int:
@@ -82,13 +81,9 @@ def _finish(verdicts, args, series=None) -> int:
     return 0 if all(v.passed for v in verdicts) else 2
 
 
-def _radii(arg):
-    return np.asarray([float(s) for s in arg.split(",")], dtype=float)
-
-
 def cmd_verify_geometry(args) -> int:
     metric = surface.from_name(args.metric)
-    radii = _radii(args.radii)
+    radii = np.asarray([float(s) for s in args.radii.split(",")])
     verdicts = surface.geometry_bounds_verdicts(metric, args.A, args.p, radii,
                                                 n_r=args.n_r, n_theta=args.n_theta)
     return _finish(verdicts, args)
@@ -100,17 +95,21 @@ def cmd_verify_norms(args) -> int:
     else:
         rng = np.random.default_rng(args.seed)
         f = WeightedSamples(rng.normal(size=200), rng.uniform(0.01, 1.0, size=200))
-    prof = rearrange(f)
-    l1_direct = float(np.sum(np.abs(f.values) * f.measures))
-    l1_star = float(np.sum(prof.values * np.diff(prof.breakpoints)))
     domain = args.domain_measure if args.domain_measure is not None else f.total_measure
-    znorm = zygmund_norm(f, domain)
-    verdicts = [
-        VerdictReport("rearrangement_mass", l1_star, l1_direct, 1e-9),
-        VerdictReport("rearrangement_mass_rev", l1_direct, l1_star, 1e-9),
-        VerdictReport("hardy_littlewood_self", direct_pairing(f, f), pairing_upper(f, f), 1e-9),
-        VerdictReport("zygmund_dominates_l1", l1_direct, znorm + l1_direct, 0.0),
-    ]
+    # finite rows can still overflow a norm; the verdicts are checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        prof = rearrange(f)
+        l1_direct = float(np.sum(np.abs(f.values) * f.measures))
+        l1_star = float(np.sum(prof.values * np.diff(prof.breakpoints)))
+        znorm = prof.zygmund_norm(domain)
+        verdicts = [
+            VerdictReport("rearrangement_mass", l1_star, l1_direct, 1e-9),
+            VerdictReport("rearrangement_mass_rev", l1_direct, l1_star, 1e-9),
+            VerdictReport("hardy_littlewood_self", direct_pairing(f, f), pairing_upper(f, f), 1e-9),
+            VerdictReport("zygmund_dominates_l1", l1_direct, znorm + l1_direct, 0.0),
+        ]
+    if not np.all(np.isfinite([(v.lhs, v.rhs) for v in verdicts])):
+        raise InputError("the field's norms overflow double precision")
     print(f"zygmund_norm = {znorm:.10g} (domain measure {domain:.6g})", file=sys.stderr)
     return _finish(verdicts, args)
 
@@ -159,18 +158,18 @@ def cmd_harnack(args) -> int:
 
 
 def cmd_global(args) -> int:
-    verdicts = []
     res = estimates.global_estimate({"kind": "constant", "value": -4.0},
                                     n_r=args.n_r, n_theta=args.n_theta,
                                     run_ladder=args.ladder)
-    verdicts.append(res.max_principle)
+    verdicts = [res.max_principle]
     if res.ladder is not None:
         verdicts.append(res.ladder["cauchy"])
     print(f"end-to-end ratio = {res.ratio:.6g}", file=sys.stderr)
+    A = estimates.energy_constant()
     for i in range(args.cases):
         spec = {"kind": "random_bumps", "count": 2, "amp": (0.5, 3.0), "k": (2, 8),
                 "center_r_max": 0.6, "sign": "any", "seed": args.seed * 9973 + i}
-        vs, _ = estimates.global_energy_checks(spec, margin=args.headroom,
+        vs, _ = estimates.global_energy_checks(spec, A=A, margin=args.headroom,
                                                n_r=args.n_r, n_theta=args.n_theta)
         verdicts.extend(VerdictReport(v.name, v.lhs, v.rhs, v.tol, f"energy-{i}") for v in vs)
     return _finish(verdicts, args)
@@ -186,9 +185,6 @@ def cmd_counterexample(args) -> int:
         k *= 2
     runs = estimates.counterexample_series(ks, n_local=args.n_local)
     slope = estimates.fit_log_slope(ks, [r.u0_raw for r in runs])
-    rows = [VerdictReport(f"counterexample_k{r.k}", 0.0, r.u0_raw, 0.0,
-                          f"zygmund={r.zygmund:.6g};atom={r.size_bound_minimal:.6g}")
-            for r in runs]
     if args.format == "csv" and args.out is not None:
         header = ["k", "u0_raw", "u0_standard", "zygmund_norm", "l1_norm", "atom_size_bound",
                   "min_radius"]
@@ -196,11 +192,12 @@ def cmd_counterexample(args) -> int:
             [r.k] + [f"{x:.10g}" for x in (r.u0_raw, r.u0_standard, r.zygmund, r.l1,
                                            r.size_bound_minimal, r.min_radius)]
             for r in runs])
-    elif args.format == "svg" and args.out is not None:
-        report.write_svg(args.out, np.log(ks).tolist(), [r.u0_raw for r in runs],
-                         xlabel="ln k", ylabel="|u_k(0)|", title="potential growth")
     else:
-        _emit(rows, args)
+        rows = [VerdictReport(f"counterexample_k{r.k}", 0.0, r.u0_raw, 0.0,
+                              f"zygmund={r.zygmund:.6g};atom={r.size_bound_minimal:.6g}")
+                for r in runs]
+        _emit(rows, args, series=(np.log(ks).tolist(), [r.u0_raw for r in runs],
+                                  "ln k", "|u_k(0)|", "potential growth"))
     print(f"fitted slope of |u_k(0)| vs ln k: {slope:.6g}", file=sys.stderr)
     for r in runs:
         print(f"k={r.k}: |u_k(0)|={r.u0_raw:.6g} zygmund={r.zygmund:.6g} "
@@ -239,17 +236,16 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="poissonlab",
-                                description="Verification laboratory for Zygmund-class "
-                                            "Poisson estimates on model surfaces.")
+    p = _Parser(prog="poissonlab",
+                description="Verification laboratory for Zygmund-class "
+                            "Poisson estimates on model surfaces.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, solver=False):
+    def common(sp, seed=False):
         sp.add_argument("--out", default=None, help="output file (default: stdout/none)")
         sp.add_argument("--format", default="json", choices=["json", "csv", "svg"])
-        sp.add_argument("--seed", type=int, default=0)
-        if solver:
-            sp.add_argument("--solver-tol", type=float, default=1e-10)
+        if seed:  # only the commands that draw random data take a seed
+            sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("verify-geometry", help="isoperimetric/curvature volume and length bounds")
     sp.add_argument("--metric", default="flat")
@@ -265,19 +261,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", default=None,
                     help="JSON array of (value, measure) or (value, r, theta, measure)")
     sp.add_argument("--domain-measure", type=float, default=None)
-    common(sp)
+    common(sp, seed=True)
     sp.set_defaults(func=cmd_verify_norms)
 
     sp = sub.add_parser("solve", help="solve one ExperimentCase JSON")
     sp.add_argument("--case", required=True)
-    common(sp, solver=True)
+    sp.add_argument("--out", default=None, help="output file (default: stdout)")
+    sp.add_argument("--solver-tol", type=float, default=1e-10)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("interior", help="interior-estimate random corpus")
     sp.add_argument("--cases", type=int, default=100)
     sp.add_argument("--n-r", type=int, default=32)
     sp.add_argument("--n-theta", type=int, default=48)
-    common(sp, solver=True)
+    sp.add_argument("--solver-tol", type=float, default=1e-10)
+    common(sp, seed=True)
     sp.set_defaults(func=cmd_interior)
 
     sp = sub.add_parser("harnack", help="Harnack spike-family corpus")
@@ -295,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-theta", type=int, default=64)
     sp.add_argument("--headroom", type=float, default=0.2)
     sp.add_argument("--ladder", action="store_true")
-    common(sp)
+    common(sp, seed=True)
     sp.set_defaults(func=cmd_global)
 
     sp = sub.add_parser("counterexample", help="logarithmic blow-up family")
@@ -324,9 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

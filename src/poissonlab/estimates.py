@@ -15,8 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import pde, surface
-from .rearrange import (AtomVerdict, StepProfile, WeightedSamples, atom_check, bmo_norm,
-                        rearrange, zygmund_norm)
+from .rearrange import (AtomVerdict, StepProfile, WeightedSamples, bmo_norm, rearrange,
+                        zygmund_norm)
 from .report import VerdictReport
 
 
@@ -318,13 +318,6 @@ def moser_resolve(a: float, b: float, rho0: float) -> float:
 # BMO duality
 # ---------------------------------------------------------------------------
 
-def atom_proxy_norm(f: WeightedSamples, center=(0.0, 0.0)) -> float:
-    """sup|f| times the area of the minimal ball about `center` containing the
-    support; the atomic-norm proxy for a single signed blob pair."""
-    verdict = atom_check(f, (center, np.inf))
-    return float(np.max(np.abs(f.values)) * np.pi * verdict.min_radius**2)
-
-
 @dataclass(frozen=True)
 class BmoDualityResult:
     lhs: float
@@ -376,8 +369,11 @@ def bmo_duality_check(f: WeightedSamples, x0, rho: float,
     inside = d < rho
     kern = np.where(inside, np.log(rho / np.maximum(d, 1e-300)), 0.0)
     lhs = abs(float(np.sum(f.values * kern * f.measures)))
-    proxy = atom_proxy_norm(f, center=tuple(x0))
     supp = np.abs(f.values) > 0
+    # the atomic-norm proxy of a signed blob pair: sup|f| times the area of
+    # the smallest ball about x0 that holds the support
+    r_min = float(d[supp].max()) if np.any(supp) else 0.0
+    proxy = float(np.max(np.abs(f.values)) * np.pi * r_min**2)
     sup_kernel = float(np.max(np.abs(kern[supp]))) if np.any(supp) else 0.0
     naive = scale * sup_kernel
     bmos = {r: kernel_bmo_estimate(r) for r in kernel_rhos}
@@ -418,7 +414,15 @@ def random_zero_boundary_field(grid: pde.PolarGrid, seed: int) -> pde.DiscreteFi
     return fld
 
 
-def global_energy_checks(f_spec: dict, A: float | None = None, margin: float = 0.2,
+def energy_constant(metric: str = "flat") -> float:
+    """The constant A of the energy chain on B_2: the larger of the probed
+    isoperimetric constant and the curvature L^2 bound of one estimate."""
+    est = surface.isoperimetric_constant(surface.from_name(metric, r_max=2.0002),
+                                         np.linspace(0.1, 2.0, 8))
+    return max(est.A_iso, est.A_curv)
+
+
+def global_energy_checks(f_spec: dict, A: float, margin: float = 0.2,
                          n_r: int = 48, n_theta: int = 64, seed: int = 0,
                          metric: str = "flat"):
     """Solve Lap v = f (f supported in B_1, extended by zero) on B_2 with zero
@@ -426,16 +430,13 @@ def global_energy_checks(f_spec: dict, A: float | None = None, margin: float = 0
     (i)  int (e^{|v| / (2e sqrt(A) ||grad v||)} - 1) <= V(B_2)
     (ii) v*(t) <= (1+margin) 2e sqrt(A) ||grad v|| ln(2 V / t)
     (iii) ||grad v|| <= (1+margin) 2e sqrt(A) ||f||*_{L ln L(B_1)}
+    A is the surface's constant, one per run (see energy_constant).
     """
     case = ExperimentCase(metric=metric, n_r=n_r, n_theta=n_theta, r_max=2.0,
                           f=dict(f_spec, support_radius=min(f_spec.get("support_radius", 1.0), 1.0)),
                           seed=seed, R_outer=2.0, R_inner=1.0, case_id="global-energy")
     sol = solve_case(case)
     grid, v = sol.grid, sol.u
-    if A is None:
-        m = surface.from_name(metric, r_max=2.0002)
-        A = max(surface.isoperimetric_constant(m, np.linspace(0.1, 2.0, 8)).A_iso,
-                surface.curvature_lp_norm(m, 2.0))
     C0 = 2.0 * np.e * np.sqrt(A)
     gn = pde.gradient_l2(grid, v)
     V = grid.total_measure
@@ -506,18 +507,15 @@ def global_estimate(f_spec: dict, n_r: int = 48, n_theta: int = 64, seed: int = 
         grid2 = sol_v.grid
         f2 = sol_v.f
         fnorm_full = field_zygmund_norm(f2, 1.0)
-        tails, solutions = [], {}
+        tails = []
         for n in ladder_ns:
-            fn = pde.DiscreteField(grid2, f2.values * _cutoff_eta_n(grid2, n)[:, None], f2.pole)
-            resid = pde.DiscreteField(grid2, f2.values - fn.values, 0.0)
-            tails.append(field_zygmund_norm(resid, 1.0))
-            vn, _ = pde.solve_dirichlet(grid2, None, fn, np.zeros(grid2.n_theta))
-            solutions[n] = vn
+            fn = f2.values * _cutoff_eta_n(grid2, n)[:, None]
+            tails.append(field_zygmund_norm(pde.DiscreteField(grid2, f2.values - fn, 0.0), 1.0))
+        # v_b - v_a solves the source f (eta_b - eta_a) with zero data, by linearity
         na, nb = ladder_ns[-2], ladder_ns[-1]
-        diff = pde.DiscreteField(grid2, solutions[nb].values - solutions[na].values,
-                                 solutions[nb].pole - solutions[na].pole)
         eta_ab = _cutoff_eta_n(grid2, nb) - _cutoff_eta_n(grid2, na)
         dfn = pde.DiscreteField(grid2, f2.values * eta_ab[:, None], 0.0)
+        diff, _ = pde.solve_dirichlet(grid2, None, dfn, np.zeros(grid2.n_theta))
         dnorm = field_zygmund_norm(dfn, 1.0)
         cauchy = VerdictReport("ladder_cauchy", diff.sup_norm(1.5),
                                ladder_constant * dnorm + 1e-9, 0.0, "global")
@@ -537,15 +535,13 @@ def manufactured_convergence(kind: str = "flat", resolutions=(32, 64, 128),
     solution with zero boundary data on B_1.  By default the angular
     resolution refines together with the radial one so both error
     contributions shrink at the same rate."""
+    r_max = {"flat": 1.0001, "sphere": 1.5}
+    if kind not in r_max:
+        raise ValueError(f"no manufactured case for metric {kind!r}")
+    metric = surface.from_name(kind, r_max[kind])
     errors = []
     for n_r in resolutions:
         n_t = n_theta if n_theta is not None else n_r
-        if kind == "flat":
-            metric = surface.flat(1.0001)
-        elif kind == "sphere":
-            metric = surface.sphere(1.5)
-        else:
-            raise ValueError(f"no manufactured case for metric {kind!r}")
         grid = pde.PolarGrid(metric, n_r, n_t, 1.0)
         R, T = grid.mesh()
         if kind == "flat":

@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, bicgstab, cg
 
 from .rearrange import WeightedSamples
-from .surface import MetricProfile
+from .surface import MetricProfile, ball_volume
 
 
 @dataclass(frozen=True)
@@ -101,14 +101,11 @@ def geometry(grid: PolarGrid) -> Geometry:
     a = m.G((dr * (np.arange(grid.n_r) + 0.5))[:, None], tn) * dth / dr
     # angular faces at theta_{j+1/2} on each ring
     b = dr / (m.G(rn[:, None], tn + dth / 2) * dth)
-    # V(B_{dr/2}) by 5-point Simpson in r, trapezoid in theta
-    rr = np.linspace(0.0, dr / 2, 5)
-    ell = m.G(rr[:, None], tn).mean(axis=1) * 2 * np.pi
-    simpson = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) * (dr / 2 / 4) / 3.0
     X, Y = R * np.cos(T), R * np.sin(T)
     for arr in (R, T, X, Y, weights, a, b):
         arr.flags.writeable = False
-    return Geometry((R, T), (X, Y), weights, a, b, float(np.sum(simpson * ell)))
+    # the pole's weight V(B_{dr/2}), Simpson over 4 radial intervals
+    return Geometry((R, T), (X, Y), weights, a, b, ball_volume(m, dr / 2, 4, grid.n_theta))
 
 
 @dataclass
@@ -173,15 +170,14 @@ def constant_field(grid: PolarGrid, value: float) -> DiscreteField:
 
 
 def laplace_beltrami_apply(grid: PolarGrid, u: DiscreteField) -> DiscreteField:
-    """Second-order divergence-form Laplacian; the boundary ring is left zero
-    (no one-sided closure there)."""
-    geo = geometry(grid)
-    a, b, v = geo.a, geo.b, u.values
-    flux = a * np.diff(v, axis=0, prepend=u.pole)   # into ring i; row 0 from the pole
-    ang = b * (np.roll(v, -1, axis=1) - v) - np.roll(b, 1, axis=1) * (v - np.roll(v, 1, axis=1))
-    out = np.zeros_like(v)
-    out[:-1] = (flux[1:] - flux[:-1] + ang[:-1]) / geo.weights[:-1]
-    return DiscreteField(grid, out, float(np.sum(flux[0]) / geo.pole_volume))
+    """Second-order divergence-form Laplacian: the rows of the assembled
+    g = 0, f = 0 system, whose A x - rhs is -Lap u times the node weights.
+    The boundary ring is left zero (no one-sided closure there)."""
+    A, rhs = assemble_system(grid, None, constant_field(grid, 0.0), u.values[-1])
+    lap = rhs - A @ np.concatenate([[u.pole], u.values[:-1].ravel()])
+    out = np.zeros_like(u.values)
+    out[:-1] = lap[1:].reshape(grid.n_r - 1, grid.n_theta) / grid.node_weights()[:-1]
+    return DiscreteField(grid, out, float(lap[0] / grid.pole_volume))
 
 
 def assemble_system(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,

@@ -223,17 +223,20 @@ def gauss_curvature(metric: MetricProfile, r, theta):
     return np.squeeze(-metric.d2G(r, theta) / g)[()]
 
 
+def _midpoint_mesh(radius: float, n_r: int, n_theta: int):
+    """Cell midpoints (R, T) of [0, radius] x [0, 2pi) and the cell sides dr, dtheta."""
+    dr, dth = radius / n_r, 2 * np.pi / n_theta
+    R, T = np.meshgrid((np.arange(n_r) + 0.5) * dr, (np.arange(n_theta) + 0.5) * dth, indexing="ij")
+    return R, T, dr, dth
+
+
 def curvature_lp_norm(metric: MetricProfile, p: float, radius: float | None = None,
                       n_r: int = 256, n_theta: int = 256) -> float:
     """||K||_{L^p(B_radius)} by midpoint quadrature; radius defaults to
     min(1, r_max)."""
     if radius is None:
         radius = min(1.0, metric.r_max)
-    dr = radius / n_r
-    dth = 2 * np.pi / n_theta
-    rc = (np.arange(n_r) + 0.5) * dr
-    tc = (np.arange(n_theta) + 0.5) * dth
-    R, T = np.meshgrid(rc, tc, indexing="ij")
+    R, T, dr, dth = _midpoint_mesh(radius, n_r, n_theta)
     g = metric.G(R, T)
     k = -metric.d2G(R, T) / np.maximum(g, 1e-300)
     return float(np.sum(np.abs(k) ** p * g * dr * dth) ** (1.0 / p))
@@ -385,11 +388,7 @@ def flux_variation(metric: MetricProfile, rho: float, n_r: int = 512,
     symmetric metrics."""
     if rho <= 0 or rho > metric.r_max * (1 + 1e-12):
         raise ValueError("radius out of range")
-    dr = rho / n_r
-    dth = 2 * np.pi / n_theta
-    rc = (np.arange(n_r) + 0.5) * dr
-    tc = (np.arange(n_theta) + 0.5) * dth
-    Rg, Tg = np.meshgrid(rc, tc, indexing="ij")
+    Rg, Tg, dr, dth = _midpoint_mesh(rho, n_r, n_theta)
     g = metric.G(Rg, Tg)
     dg = metric.dG(Rg, Tg)
     ell = g.sum(axis=1) * dth

@@ -1,11 +1,12 @@
 """CLI exit-code contract, report emission, and determinism tests."""
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from poissonlab import report
-from poissonlab.cli import main
+from poissonlab import report, surface
+from poissonlab.cli import build_parser, main
 from poissonlab.report import VerdictReport
 
 
@@ -112,7 +113,11 @@ class TestExitCodes:
         ["interior", "--cases", "0"],
         ["harnack", "--ks", "0"],
         ["harnack", "--ks", "-8"],
-    ], ids=["n-r-0", "n-theta-0", "no-cases", "k-0", "k-negative"])
+        ["harnack", "--seed", "3"],
+        ["counterexample", "--kmin", "abc"],
+        [],
+    ], ids=["n-r-0", "n-theta-0", "no-cases", "k-0", "k-negative", "unknown-option",
+            "bad-type", "no-command"])
     def test_bad_argument_one_line(self, capsys, argv):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -124,13 +129,30 @@ class TestExitCodes:
         [[1, "2"]],
         [[1, 0.5], 3],
         [[10**400, 1]],
-    ], ids=["object-entry", "object-entry-polar", "string-entry", "scalar-row", "huge-int"])
+        [[1e200, 1e200]],
+        [[1e300, 1e10], [1, 1]],
+    ], ids=["object-entry", "object-entry-polar", "string-entry", "scalar-row", "huge-int",
+            "overflowing-mass", "overflowing-pairing"])
+    @pytest.mark.filterwarnings("error")
     def test_bad_norm_rows_one_line(self, tmp_path, capsys, rows):
         path = tmp_path / "field.json"
         path.write_text(json.dumps(rows))
         assert main(["verify-norms", "--input", str(path)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["global", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ")
+
+    def test_seed_only_where_random_data_is_drawn(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        seeded = {name for name, sp in sub.choices.items()
+                  if any("--seed" in a.option_strings for a in sp._actions)}
+        assert seeded == {"interior", "global", "verify-norms"}
 
     def test_report_passthrough(self, tmp_path, capsys):
         path = tmp_path / "v.json"
@@ -202,4 +224,16 @@ class TestSubcommands:
 
     def test_global_small(self, capsys):
         assert main(["global", "--cases", "1", "--n-r", "24", "--n-theta", "32"]) == 0
+
+    def test_global_computes_energy_constant_once(self, monkeypatch, capsys):
+        calls = []
+        iso = surface.isoperimetric_constant
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return iso(*args, **kwargs)
+
+        monkeypatch.setattr(surface, "isoperimetric_constant", counted)
+        assert main(["global", "--cases", "5"]) == 0
+        assert len(calls) == 1
 

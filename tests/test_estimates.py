@@ -323,6 +323,24 @@ class TestGlobalPipeline:
         assert lad["tail_ok"]
         assert lad["cauchy"].passed
 
+    def test_ladder_cauchy_is_difference_of_two_solves(self):
+        # ladder_cauchy's lhs, from one solve of f (eta_16 - eta_8), against
+        # v_16 - v_8 from the two cutoff solves it stands for
+        spec = {"kind": "bumps", "bumps": [{"amp": 1.0, "k": 32, "center": (0.85, 0.0)}]}
+        res = estimates.global_estimate(spec, n_r=32, n_theta=48, run_ladder=True)
+        sol = estimates.solve_case(estimates.ExperimentCase(
+            n_r=64, n_theta=48, r_max=2.0, f=dict(spec, support_radius=1.0),
+            R_outer=2.0, R_inner=1.0))
+        grid, f = sol.grid, sol.f
+        v = {}
+        for n in (8, 16):
+            fn = f.values * estimates.smoothstep(n * (1.0 - grid.r_nodes))[:, None]
+            v[n], _ = pde.solve_dirichlet(grid, None, pde.DiscreteField(grid, fn, f.pole),
+                                          np.zeros(grid.n_theta))
+        diff = pde.DiscreteField(grid, v[16].values - v[8].values, v[16].pole - v[8].pole)
+        assert res.ladder["cauchy"].name == "ladder_cauchy"
+        assert res.ladder["cauchy"].lhs == pytest.approx(diff.sup_norm(1.5), rel=1e-9)
+
     def test_sobolev_closed_form(self):
         # u = 1 - r^2, q = 2, A = 1/(4 pi): lhs sqrt(pi/3), rhs sqrt(2 pi)/2
         grid = pde.PolarGrid(surface.flat(1.001), 96, 32, 1.0)
