@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import estimates, pde, report, surface
-from .rearrange import WeightedSamples, direct_pairing, pairing_upper, rearrange
+from .rearrange import WeightedSamples, direct_pairing, rearrange
 from .report import VerdictReport
 
 
@@ -39,13 +39,17 @@ def _load_json(path):
                          f"column {exc.colno}: {exc.msg}") from exc
 
 
+def _finite_number(x) -> bool:
+    # a JSON number within double range: no bool, NaN, infinity or huge int
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
 def _load_samples(path) -> WeightedSamples:
     rows = _load_json(path)
     if not isinstance(rows, list) or not rows:
         raise InputError(f"{path!r}: expected a nonempty JSON array of rows")
     widths = {len(r) if isinstance(r, list) else -1 for r in rows}
-    if widths not in ({2}, {4}) or not all(type(x) in (int, float) and abs(x) <= sys.float_info.max
-                                           for r in rows for x in r):
+    if widths not in ({2}, {4}) or not all(_finite_number(x) for r in rows for x in r):
         raise InputError(f"{path!r}: rows must be (value, measure) or (value, r, theta, measure) "
                          "arrays of finite numbers")
     arr = np.asarray(rows, dtype=float)
@@ -105,7 +109,7 @@ def cmd_verify_norms(args) -> int:
         verdicts = [
             VerdictReport("rearrangement_mass", l1_star, l1_direct, 1e-9),
             VerdictReport("rearrangement_mass_rev", l1_direct, l1_star, 1e-9),
-            VerdictReport("hardy_littlewood_self", direct_pairing(f, f), pairing_upper(f, f), 1e-9),
+            VerdictReport("hardy_littlewood_self", direct_pairing(f, f), prof.pairing(prof), 1e-9),
             VerdictReport("zygmund_dominates_l1", l1_direct, znorm + l1_direct, 0.0),
         ]
     if not np.all(np.isfinite([(v.lhs, v.rhs) for v in verdicts])):
@@ -142,6 +146,8 @@ def cmd_interior(args) -> int:
         args.cases, args.seed, args.n_r, args.n_theta, solver_tol=args.solver_tol)
     print(f"measured interior constant C = {constant:.6g} "
           f"({len(reports)} cases, {skipped} skipped)", file=sys.stderr)
+    if not reports:  # no case converged, so nothing was verified
+        return 2
     return _finish(reports, args)
 
 
@@ -225,11 +231,14 @@ def cmd_report(args) -> int:
     rows = _load_json(args.input)
     if not isinstance(rows, list):
         raise InputError(f"{args.input!r}: expected a JSON array of verdicts")
-    try:
-        verdicts = [VerdictReport(r["name"], r["lhs"], r["rhs"], r.get("tol", 0.0),
-                                  r.get("case", "")) for r in rows]
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"{args.input!r}: verdict rows need name/lhs/rhs fields") from exc
+    for i, r in enumerate(rows):  # other keys (ratio, pass) are recomputed, not read
+        if not (isinstance(r, dict) and isinstance(r.get("name"), str)
+                and _finite_number(r.get("lhs")) and _finite_number(r.get("rhs"))
+                and _finite_number(r.get("tol", 0.0)) and isinstance(r.get("case", ""), str)):
+            raise InputError(f"{args.input!r}: verdict row {i} needs a string name, finite numbers "
+                             "lhs and rhs, and optionally a finite number tol and a string case")
+    verdicts = [VerdictReport(r["name"], float(r["lhs"]), float(r["rhs"]), float(r.get("tol", 0.0)),
+                              r.get("case", "")) for r in rows]
     if not verdicts:
         raise InputError("nothing to report")
     return _finish(verdicts, args)

@@ -216,6 +216,8 @@ def assemble_system(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
 def solve_dirichlet(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
                     boundary, tol: float = 1e-10, maxiter: int | None = None):
     """Solve Lap u = g u + f with Dirichlet data on r = r_max."""
+    if not (np.isfinite(tol) and tol > 0):  # no iterate meets a tolerance <= 0
+        raise ValueError(f"solver tolerance must be finite and positive, got {tol}")
     boundary = np.broadcast_to(np.asarray(boundary, dtype=float), (grid.n_theta,)).copy()
     A, rhs = assemble_system(grid, g, f, boundary)
     # the weights are positive and finite, so this rejects non-finite f, g or boundary data

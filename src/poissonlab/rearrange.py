@@ -84,6 +84,18 @@ class StepProfile:
         ft = np.concatenate([[0.0], t * (np.log(domain_measure / t) + 1.0)])
         return float(np.sum(self.values * np.diff(ft)))
 
+    def pairing(self, other: "StepProfile") -> float:
+        """int_0^inf self(t) other(t) dt, exact on the merged breakpoint grid."""
+        end = min(self.support_measure, other.support_measure)
+        if end == 0.0:
+            return 0.0
+        knots = np.union1d(self.breakpoints, other.breakpoints)
+        knots = knots[knots <= end]
+        if knots[-1] < end:
+            knots = np.append(knots, end)
+        mids = 0.5 * (knots[:-1] + knots[1:])
+        return float(np.sum(self(mids) * other(mids) * np.diff(knots)))
+
 
 @dataclass(frozen=True)
 class BmoEstimate:
@@ -127,24 +139,11 @@ def zygmund_modular(f: WeightedSamples) -> float:
     return float(np.sum(absval * np.maximum(lg, 0.0) * f.measures))
 
 
-def _merged_step_integral(a: StepProfile, b: StepProfile) -> float:
-    # integral of a*(t) b*(t) dt on the merged breakpoint grid
-    end = min(a.support_measure, b.support_measure)
-    if end == 0.0:
-        return 0.0
-    knots = np.union1d(a.breakpoints, b.breakpoints)
-    knots = knots[knots <= end]
-    if knots[-1] < end:
-        knots = np.append(knots, end)
-    mids = 0.5 * (knots[:-1] + knots[1:])
-    return float(np.sum(a(mids) * b(mids) * np.diff(knots)))
-
-
 def pairing_upper(f: WeightedSamples, h: WeightedSamples) -> float:
     """Hardy-Littlewood upper bound int f* h* for the pairing int |f h|."""
     if not np.isclose(f.total_measure, h.total_measure, rtol=1e-9, atol=0.0):
         raise ValueError("mismatched total measures")
-    return _merged_step_integral(rearrange(f), rearrange(h))
+    return rearrange(f).pairing(rearrange(h))
 
 
 def direct_pairing(f: WeightedSamples, h: WeightedSamples) -> float:

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .rearrange import WeightedSamples, rearrange, zygmund_norm
 from .report import VerdictReport
@@ -158,6 +157,10 @@ def from_samples(r_nodes, theta_nodes, G_values, name: str = "sampled",
     pole_tol bounds the violation of G(0) = 0 and dG(0) = 1; coarse lattices
     of curved metrics may need a looser value to absorb the stencil error.
     """
+    # imported here: scipy.interpolate pulls in scipy.optimize, .spatial and
+    # .special, which nothing else in the package needs
+    from scipy.interpolate import RegularGridInterpolator
+
     r_nodes = np.asarray(r_nodes, dtype=float)
     theta_nodes = np.asarray(theta_nodes, dtype=float)
     G_values = np.asarray(G_values, dtype=float)

@@ -1,11 +1,15 @@
 """CLI exit-code contract, report emission, and determinism tests."""
 import argparse
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from poissonlab import report, surface
+from poissonlab import cli, estimates, rearrange, report, surface
 from poissonlab.cli import build_parser, main
 from poissonlab.report import VerdictReport
 
@@ -116,8 +120,11 @@ class TestExitCodes:
         ["harnack", "--seed", "3"],
         ["counterexample", "--kmin", "abc"],
         [],
+        ["interior", "--cases", "1", "--solver-tol", "0"],
+        ["interior", "--cases", "1", "--solver-tol", "-1"],
+        ["interior", "--cases", "1", "--solver-tol", "nan"],
     ], ids=["n-r-0", "n-theta-0", "no-cases", "k-0", "k-negative", "unknown-option",
-            "bad-type", "no-command"])
+            "bad-type", "no-command", "solver-tol-0", "solver-tol-negative", "solver-tol-nan"])
     def test_bad_argument_one_line(self, capsys, argv):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -140,6 +147,56 @@ class TestExitCodes:
         assert main(["verify-norms", "--input", str(path)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("rows", [
+        [{"name": "x", "lhs": 1.0, "rhs": None}],
+        [{"name": "x", "lhs": 1.0, "rhs": 2.0, "tol": "a"}],
+        [{"name": "x", "lhs": "1.5", "rhs": 2.0}],
+        [{"name": ["x"], "lhs": 1.0, "rhs": 2.0}],
+        [{"name": "x", "lhs": True, "rhs": 2.0}],
+        [{"name": "x", "lhs": 1.0}],
+        [{"name": "x", "lhs": 1.0, "rhs": 2.0, "case": 3}],
+        [{"name": "x", "lhs": 10**400, "rhs": 2.0}],
+        [{"name": "x", "lhs": 1.0, "rhs": float("inf")}],
+        [{"name": "ok", "lhs": 1.0, "rhs": 2.0}, ["x", 1.0, 2.0]],
+    ], ids=["null-rhs", "string-tol", "string-lhs", "list-name", "bool-lhs", "missing-rhs",
+            "number-case", "huge-int-lhs", "infinite-rhs", "array-row"])
+    def test_bad_verdict_rows_one_line(self, tmp_path, capsys, rows):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(rows))
+        assert main(["report", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_report_reads_optional_and_extra_keys(self, tmp_path, capsys):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps([{"name": "x", "lhs": 1, "rhs": 2, "tol": 0, "case": "c",
+                                     "ratio": "ignored", "pass": None}]))
+        assert main(["report", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == [
+            {"name": "x", "lhs": 1.0, "rhs": 2.0, "ratio": 0.5, "pass": True, "tol": 0.0,
+             "case": "c"}]
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "inf"])
+    def test_bad_solver_tol_one_line(self, tmp_path, capsys, tol):
+        case = tmp_path / "case.json"
+        case.write_text(json.dumps({"n_r": 16, "n_theta": 16}))
+        assert main(["solve", "--case", str(case), "--solver-tol", tol]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "tolerance" in err
+
+    def test_interior_fails_when_every_case_is_skipped(self, monkeypatch, capsys):
+        solve_case = estimates.solve_case
+
+        def never_converges(case, tol=1e-10):
+            sol = solve_case(case, tol=tol)
+            return dataclasses.replace(sol, report=dataclasses.replace(sol.report,
+                                                                       converged=False))
+
+        monkeypatch.setattr(estimates, "solve_case", never_converges)
+        assert main(["interior", "--cases", "2", "--n-r", "16", "--n-theta", "16"]) == 2
+        assert "(0 cases, 2 skipped)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["--help"], ["global", "--help"]])
     def test_help_exits_zero(self, capsys, argv):
@@ -165,6 +222,19 @@ class TestExitCodes:
 class TestSubcommands:
     def test_verify_norms_selfcheck(self, capsys):
         assert main(["verify-norms"]) == 0
+
+    def test_verify_norms_rearranges_once(self, monkeypatch, capsys):
+        calls = []
+        original = rearrange.rearrange
+
+        def counted(f):
+            calls.append(f.values.size)
+            return original(f)
+
+        monkeypatch.setattr(rearrange, "rearrange", counted)
+        monkeypatch.setattr(cli, "rearrange", counted)
+        assert main(["verify-norms"]) == 0
+        assert calls == [200]
 
     def test_verify_norms_input(self, tmp_path, capsys):
         path = tmp_path / "field.json"
@@ -237,3 +307,29 @@ class TestSubcommands:
         assert main(["global", "--cases", "5"]) == 0
         assert len(calls) == 1
 
+
+class TestColdStart:
+    """A fresh process loads scipy.interpolate only when a sampled metric is built."""
+
+    def test_interpolate_loaded_only_by_from_samples(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "import numpy as np\n"
+            "import poissonlab\n"
+            "from poissonlab import cli, surface\n"
+            "with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify-geometry', '--metric', 'sphere', '--A', '1.75'])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy.interpolate' not in sys.modules, 'loaded at import'\n"
+            "r = np.linspace(0.0, 1.0, 9)\n"
+            "th = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)\n"
+            "m = surface.from_samples(r, th, np.repeat(r[:, None], th.size, axis=1))\n"
+            "assert abs(float(m.G(0.5, 1.0)) - 0.5) < 1e-12\n"
+            "assert 'scipy.interpolate' in sys.modules\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

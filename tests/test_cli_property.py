@@ -1,5 +1,5 @@
-"""Property test of the CLI's input contract: bad `verify-norms` rows exit 1
-with one line, never a traceback."""
+"""Property tests of the CLI's input contract: bad `verify-norms` and `report`
+rows exit 1 with one line, never a traceback."""
 import contextlib
 import io
 import json
@@ -24,6 +24,22 @@ _json_values = st.recursive(
 _numbers = st.integers(-10**6, 10**6) | st.floats(allow_nan=True, allow_infinity=True)
 
 
+def _run_on_rows(command, rows):
+    """Run ``command --input`` on ``rows``: exit 0, 1 or 2, and exit 1 is one error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.json")
+        with open(path, "w") as fh:
+            json.dump(rows, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--input", path])
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in err.getvalue()
+
+
 class TestVerifyNormsProperty:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.one_of(st.lists(_numbers, min_size=2, max_size=2),
@@ -31,15 +47,22 @@ class TestVerifyNormsProperty:
                               st.lists(_json_values, max_size=5), _json_values),
                     max_size=6))
     def test_any_rows_exit_cleanly(self, rows):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "field.json")
-            with open(path, "w") as fh:
-                json.dump(rows, fh)
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(["verify-norms", "--input", path])
-        assert code in (0, 1, 2)
-        if code == 1:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: ")
-            assert "Traceback" not in err.getvalue()
+        _run_on_rows("verify-norms", rows)
+
+
+# a well-formed verdict row with stray keys, then the same with one field
+# replaced by any JSON value
+_good_rows = st.fixed_dictionaries(
+    {"name": st.text(max_size=3), "lhs": _numbers, "rhs": _numbers},
+    optional={"tol": _numbers, "case": st.text(max_size=3), "ratio": _json_values,
+              "pass": _json_values})
+_verdict_rows = _good_rows | st.builds(lambda row, key, value: {**row, key: value}, _good_rows,
+                                       st.sampled_from(["name", "lhs", "rhs", "tol", "case"]),
+                                       _json_values)
+
+
+class TestReportProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_verdict_rows | _json_values, max_size=4))
+    def test_any_verdict_rows_exit_cleanly(self, rows):
+        _run_on_rows("report", rows)
