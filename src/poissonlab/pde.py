@@ -124,31 +124,31 @@ class DiscreteField:
     def copy(self) -> "DiscreteField":
         return DiscreteField(self.grid, self.values.copy(), self.pole)
 
+    def quadrature(self, radius: float | None = None):
+        """Values and measures of the nodes with r <= radius, the pole last:
+        the one rule behind every norm and integral of a grid field."""
+        mask = self.grid.ring_mask(radius)
+        return (np.append(self.values[mask], self.pole),
+                np.append(self.grid.node_weights()[mask], self.grid.pole_volume))
+
     def sup_norm(self, radius: float | None = None) -> float:
         """Grid maximum of |u| over r <= radius (the discrete C-norm proxy)."""
-        vals = self.values[self.grid.ring_mask(radius)]
-        return max(abs(self.pole), float(np.max(np.abs(vals), initial=0.0)))
+        return float(np.max(np.abs(self.quadrature(radius)[0])))
 
     def l1_norm(self, radius: float | None = None) -> float:
-        w = self.grid.node_weights()
-        mask = self.grid.ring_mask(radius)
-        return float(np.sum(np.abs(self.values[mask]) * w[mask])
-                     + abs(self.pole) * self.grid.pole_volume)
+        vals, meas = self.quadrature(radius)
+        return float(np.sum(np.abs(vals) * meas))
 
     def min_max(self, radius: float | None = None):
-        vals = np.append(self.values[self.grid.ring_mask(radius)].ravel(), self.pole)
+        vals = self.quadrature(radius)[0]
         return float(vals.min()), float(vals.max())
 
     def as_samples(self, radius: float | None = None) -> WeightedSamples:
-        """Node samples with planar positions, pole included."""
-        w = self.grid.node_weights()
+        """Node samples with planar positions, pole included (at the origin)."""
         X, Y = self.grid.node_positions()
         mask = self.grid.ring_mask(radius)
-        vals = np.append(self.values[mask].ravel(), self.pole)
-        meas = np.append(w[mask].ravel(), self.grid.pole_volume)
-        pos = np.concatenate([np.stack([X[mask].ravel(), Y[mask].ravel()], axis=-1),
-                              [[0.0, 0.0]]])
-        return WeightedSamples(vals, meas, pos)
+        pos = np.stack([np.append(X[mask], 0.0), np.append(Y[mask], 0.0)], axis=-1)
+        return WeightedSamples(*self.quadrature(radius), pos)
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,15 @@ def solve_dirichlet(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
 
 
 def gradient_l2(grid: PolarGrid, u: DiscreteField) -> float:
-    """Metric-weighted H1 seminorm via midpoint face differences."""
+    """Metric-weighted H1 seminorm via midpoint face differences.
+
+    With zero boundary data this is sqrt(x.A x) of the assembled g = 0
+    system (they agree to 4.1e-15 relative on 20 random fields at 48x48).
+    It stays a sum of squared differences because for general data the
+    assembled form x.A x - 2 x.r + r.b (r the boundary flux of the
+    right-hand side, b the boundary data) cancels only to roundoff: for
+    u = 3 at 16x16 it gives 5.7e-13, so 7.5e-7 after the square root,
+    where a constant field must have gradient exactly 0."""
     geo = geometry(grid)
     v = u.values
     total = float(np.sum(geo.a[0] * (v[0] - u.pole) ** 2))
@@ -260,9 +268,8 @@ def gradient_l2(grid: PolarGrid, u: DiscreteField) -> float:
 
 
 def lq_norm(grid: PolarGrid, u: DiscreteField, q: float) -> float:
-    geo = geometry(grid)
-    s = float(np.sum(np.abs(u.values) ** q * geo.weights) + abs(u.pole) ** q * geo.pole_volume)
-    return s ** (1.0 / q)
+    vals, meas = u.quadrature()
+    return float(np.sum(np.abs(vals) ** q * meas)) ** (1.0 / q)
 
 
 def log_potential(f: WeightedSamples, eval_points, correct_singular: bool = True) -> np.ndarray:

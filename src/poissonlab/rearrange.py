@@ -76,8 +76,8 @@ class StepProfile:
         """int_0^inf f*(t) ln(domain_measure / t) dt via the exact per-step
         antiderivative t ln(|X|/t) + t, which is 0 at t = 0 (the first
         breakpoint; the later ones are positive)."""
-        if domain_measure <= 0:
-            raise ValueError("domain measure must be positive")
+        if not (np.isfinite(domain_measure) and domain_measure > 0):
+            raise ValueError(f"domain measure must be finite and positive, got {domain_measure}")
         if self.support_measure > domain_measure * (1 + 1e-12):
             raise ValueError("domain smaller than support")
         t = self.breakpoints[1:]

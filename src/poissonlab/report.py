@@ -65,9 +65,10 @@ def _fmt(x: float) -> str:
 
 
 def write_svg(path, x, y, xlabel="x", ylabel="y", title="", width=640, height=420) -> None:
-    """Plot one polyline series as a standalone SVG file."""
-    if len(x) != len(y) or len(x) < 2:
-        raise ValueError("need at least two points")
+    """Plot one series as a polyline with a marker on each point, in a
+    standalone SVG file."""
+    if len(x) != len(y) or len(x) < 1:
+        raise ValueError("need at least one point, and as many x as y values")
     pad = 60
     x0, x1 = min(x), max(x)
     y0, y1 = min(y), max(y)
@@ -89,6 +90,8 @@ def write_svg(path, x, y, xlabel="x", ylabel="y", title="", width=640, height=42
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
         f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="2"/>',
+        *(f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="4" fill="steelblue"/>'
+          for a, b in zip(x, y)),
         f'<text x="{width / 2:.0f}" y="{height - 15}" text-anchor="middle" font-size="14">{xlabel}</text>',
         f'<text x="18" y="{height / 2:.0f}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 18 {height / 2:.0f})">{ylabel}</text>',

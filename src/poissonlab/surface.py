@@ -1,8 +1,8 @@
 """Semi-geodesic metric geometry.
 
 A metric dr^2 + G^2(r, theta) dtheta^2 around a fixed center is described by
-:class:`MetricProfile` (built-in analytic families or a sampled lattice with
-finite-difference derivatives).  On top of it: boundary lengths, ball volumes,
+:class:`MetricProfile`, one of the analytic families flat, sphere, hyperbolic
+and perturbed.  On top of it: boundary lengths, ball volumes,
 Gauss curvature, isoperimetric constants, the isoperimetric/curvature
 volume-length bounds, the radial kernel weight h and its pairing bound against the
 Zygmund norm, and the flux-variation integral.
@@ -25,9 +25,9 @@ class MetricProfile:
     radial derivatives dG and d2G, vectorized over broadcastable (r, theta)
     arrays.  G(0, theta) = 0 and dG(0, theta) = 1 are required.
 
-    Metrics are frozen values: built-in families compare and hash by their
-    parameters, sampled ones by identity (see ``pde.geometry``).  A family
-    defines ``_eval(k, r, t)``, the k-th radial derivative of G."""
+    Metrics are frozen values that compare and hash by their parameters
+    (see ``pde.geometry``).  A family defines ``_eval(k, r, t)``, the k-th
+    radial derivative of G."""
 
     name: str
     r_max: float
@@ -94,28 +94,6 @@ class Perturbed(MetricProfile):
         return 6.0 * self.eps * r * np.cos(t)
 
 
-@dataclass(frozen=True, eq=False)
-class Sampled(MetricProfile):
-    """Metric interpolated from a G lattice (see from_samples).  It compares
-    by identity: two lattices under one name are different metrics."""
-
-    name: str
-    r_max: float
-    tables: tuple  # linear interpolators of G, dG, d2G over (r, theta mod 2pi)
-
-    def _eval(self, k, r, t):
-        r, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(t, float))
-        pts = np.stack([r.ravel(), np.mod(t.ravel(), 2 * np.pi)], axis=-1)
-        return self.tables[k](pts).reshape(r.shape)
-
-
-@dataclass(frozen=True)
-class BallStats:
-    r: float
-    length: float
-    volume: float
-
-
 @dataclass(frozen=True)
 class IsoperimetricEstimate:
     A_iso: float
@@ -149,41 +127,6 @@ def from_name(name: str, r_max: float | None = None) -> MetricProfile:
     raise ValueError(f"unknown metric {name!r}")
 
 
-def from_samples(r_nodes, theta_nodes, G_values, name: str = "sampled",
-                 pole_tol: float = 1e-6) -> Sampled:
-    """Metric from G sampled on a (r, theta) lattice; derivatives by centered
-    differences (one-sided at the radial boundary), theta periodic.
-
-    pole_tol bounds the violation of G(0) = 0 and dG(0) = 1; coarse lattices
-    of curved metrics may need a looser value to absorb the stencil error.
-    """
-    # imported here: scipy.interpolate pulls in scipy.optimize, .spatial and
-    # .special, which nothing else in the package needs
-    from scipy.interpolate import RegularGridInterpolator
-
-    r_nodes = np.asarray(r_nodes, dtype=float)
-    theta_nodes = np.asarray(theta_nodes, dtype=float)
-    G_values = np.asarray(G_values, dtype=float)
-    if G_values.shape != (r_nodes.size, theta_nodes.size):
-        raise ValueError("G_values shape must be (n_r, n_theta)")
-    if r_nodes[0] != 0.0:
-        raise ValueError("radial lattice must start at r = 0")
-    if np.max(np.abs(G_values[0])) > pole_tol:
-        raise ValueError("pole condition G(0, theta) = 0 violated")
-    dG = np.gradient(G_values, r_nodes, axis=0)
-    d2G = np.gradient(dG, r_nodes, axis=0)
-    if np.max(np.abs(dG[0] - 1.0)) > pole_tol:
-        raise ValueError("pole condition dG(0, theta) = 1 violated")
-    tp = np.concatenate([theta_nodes, [theta_nodes[0] + 2 * np.pi]])
-
-    def table(values):
-        vp = np.concatenate([values, values[:, :1]], axis=1)
-        return RegularGridInterpolator((r_nodes, tp), vp, method="linear",
-                                       bounds_error=False, fill_value=None)
-
-    return Sampled(name, float(r_nodes[-1]), (table(G_values), table(dG), table(d2G)))
-
-
 def boundary_length(metric: MetricProfile, r, n_theta: int = 256):
     """l(dB_r) = int_0^2pi G(r, .) dtheta by the periodic trapezoid rule."""
     r = np.asarray(r, dtype=float)
@@ -208,11 +151,6 @@ def ball_volume(metric: MetricProfile, r: float, n_r: int = 512, n_theta: int = 
     wts[1:-1:2] = 4.0
     wts[2:-1:2] = 2.0
     return float(h / 3.0 * np.sum(wts * ell))
-
-
-def ball_stats(metric: MetricProfile, r: float, n_r: int = 512, n_theta: int = 256) -> BallStats:
-    return BallStats(r, float(boundary_length(metric, r, n_theta)),
-                     ball_volume(metric, r, n_r, n_theta))
 
 
 def gauss_curvature(metric: MetricProfile, r, theta):

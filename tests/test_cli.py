@@ -53,8 +53,9 @@ class TestVerdictReport:
         assert "polyline" in text
 
     def test_svg_needs_points(self, tmp_path):
-        with pytest.raises(ValueError, match="two points"):
-            report.write_svg(tmp_path / "p.svg", [1], [1])
+        for x, y in (([], []), ([1], [1, 2])):
+            with pytest.raises(ValueError, match="at least one point"):
+                report.write_svg(tmp_path / "p.svg", x, y)
 
 
 class TestExitCodes:
@@ -220,6 +221,24 @@ class TestExitCodes:
 
 
 class TestSubcommands:
+    @pytest.mark.parametrize("argv,name", [
+        (["interior", "--cases", "1", "--n-r", "16", "--n-theta", "16"], "interior_ratio"),
+        (["harnack", "--ks", "8"], "harnack_spike_k8"),
+    ], ids=["interior", "harnack"])
+    def test_svg_of_one_verdict(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "one.svg"
+        assert main([*argv, "--format", "svg", "--out", str(out)]) == 0
+        assert f"PASS {name} " in capsys.readouterr().err
+        # a lone point is drawn at the lower-left corner of the plot area
+        assert '<circle cx="60.00" cy="360.00"' in out.read_text()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_domain_measure_one_line(self, capsys, value):
+        assert main(["verify-norms", "--domain-measure", value]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: domain measure must be finite and positive")
+
     def test_verify_norms_selfcheck(self, capsys):
         assert main(["verify-norms"]) == 0
 
@@ -309,23 +328,20 @@ class TestSubcommands:
 
 
 class TestColdStart:
-    """A fresh process loads scipy.interpolate only when a sampled metric is built."""
+    """A fresh process that runs commands loads no scipy subpackage the
+    package does not use."""
 
-    def test_interpolate_loaded_only_by_from_samples(self):
+    def test_commands_leave_unused_scipy_unloaded(self):
         script = (
             "import contextlib, io, sys\n"
-            "import numpy as np\n"
-            "import poissonlab\n"
-            "from poissonlab import cli, surface\n"
+            "from poissonlab import cli\n"
             "with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = cli.main(['verify-geometry', '--metric', 'sphere', '--A', '1.75'])\n"
-            "assert code == 0, code\n"
-            "assert 'scipy.interpolate' not in sys.modules, 'loaded at import'\n"
-            "r = np.linspace(0.0, 1.0, 9)\n"
-            "th = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)\n"
-            "m = surface.from_samples(r, th, np.repeat(r[:, None], th.size, axis=1))\n"
-            "assert abs(float(m.G(0.5, 1.0)) - 0.5) < 1e-12\n"
-            "assert 'scipy.interpolate' in sys.modules\n"
+            "    codes = [cli.main(['verify-geometry', '--metric', 'sphere', '--A', '1.75']),\n"
+            "             cli.main(['interior', '--cases', '2'])]\n"
+            "assert codes == [0, 0], codes\n"
+            "loaded = [m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.spatial',\n"
+            "                      'scipy.special') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

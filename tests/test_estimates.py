@@ -207,6 +207,41 @@ class TestInterior:
         assert np.isfinite(constant)
 
 
+def _rotate(a):
+    return np.roll(a, 7, axis=-1)  # theta -> theta + 7 cells
+
+
+def _reflect(a):
+    return np.roll(a[..., ::-1], 1, axis=-1)  # theta -> -theta
+
+
+class TestSymmetry:
+    """Rotating f, g and the boundary data by whole theta-cells, or reflecting
+    them in theta, moves the solution the same way and leaves the field norms
+    of interior_ratio unchanged: rotation on the radial metrics, reflection
+    also on perturbed, whose G is even in theta."""
+
+    @pytest.mark.parametrize("metric,move", [
+        ("flat", _rotate), ("sphere", _rotate),
+        ("flat", _reflect), ("sphere", _reflect), ("perturbed:0.05", _reflect),
+    ], ids=["flat-rotate", "sphere-rotate", "flat-reflect", "sphere-reflect",
+            "perturbed-reflect"])
+    def test_solution_and_ratio_follow_the_data(self, metric, move):
+        case = estimates.random_interior_case(3, 32, 48, metric)
+        sol = estimates.solve_case(case, tol=1e-12)
+        grid = sol.grid
+        f = pde.DiscreteField(grid, move(sol.f.values), sol.f.pole)
+        g = pde.DiscreteField(grid, move(sol.g.values), sol.g.pole)
+        u, rep = pde.solve_dirichlet(grid, g, f, move(sol.u.values[-1]), tol=1e-12)
+        assert rep.converged
+        scale = sol.u.sup_norm()
+        assert np.max(np.abs(u.values - move(sol.u.values))) <= 1e-10 * scale
+        assert abs(u.pole - sol.u.pole) <= 1e-10 * scale
+        moved = estimates.CaseSolution(case, grid, u, f, g, rep)
+        assert estimates.interior_ratio(moved).ratio == pytest.approx(
+            estimates.interior_ratio(sol).ratio, rel=1e-12, abs=0.0)
+
+
 class TestMeanValue:
     def test_harmonic_deviation_vanishes(self):
         case = estimates.ExperimentCase(n_r=48, n_theta=48,

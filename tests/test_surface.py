@@ -21,21 +21,6 @@ class TestMetrics:
         with pytest.raises(ValueError, match="degenerates"):
             surface.perturbed(0.5, r_max=2.0)
 
-    def test_from_samples_roundtrip(self):
-        r = np.linspace(0.0, 1.0, 201)
-        th = 2 * np.pi * np.arange(64) / 64
-        G = r[:, None] * np.ones_like(th)
-        m = surface.from_samples(r, th, G)
-        assert m.G(0.5, 1.0) == pytest.approx(0.5, abs=1e-10)
-        assert m.dG(0.5, 1.0) == pytest.approx(1.0, abs=1e-8)
-
-    def test_from_samples_pole_condition(self):
-        r = np.linspace(0.0, 1.0, 11)
-        th = 2 * np.pi * np.arange(8) / 8
-        G = np.ones((11, 8))  # G(0) != 0
-        with pytest.raises(ValueError, match="G\\(0, theta\\) = 0"):
-            surface.from_samples(r, th, G)
-
 
 class TestLengthVolume:
     def test_flat_circle(self):
@@ -60,11 +45,6 @@ class TestLengthVolume:
     def test_radius_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             surface.ball_volume(surface.flat(r_max=1.0), 2.0)
-
-    def test_ball_stats(self):
-        s = surface.ball_stats(surface.flat(), 0.5)
-        assert s.length == pytest.approx(np.pi, rel=1e-10)
-        assert s.volume == pytest.approx(np.pi / 4, rel=1e-8)
 
 
 class TestCurvature:
