@@ -339,8 +339,13 @@ class TestColdStart:
             "    codes = [cli.main(['verify-geometry', '--metric', 'sphere', '--A', '1.75']),\n"
             "             cli.main(['interior', '--cases', '2'])]\n"
             "assert codes == [0, 0], codes\n"
+            "from poissonlab import pde, surface\n"
+            "grid = pde.PolarGrid(surface.flat(1.0001), 16, 24, 1.0)\n"
+            "_, rep = pde.solve_dirichlet(grid, pde.constant_field(grid, -1.0),\n"
+            "                             pde.constant_field(grid, -4.0), 0.0)\n"
+            "assert rep.converged, rep\n"
             "loaded = [m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.spatial',\n"
-            "                      'scipy.special') if m in sys.modules]\n"
+            "                      'scipy.special', 'scipy.fft') if m in sys.modules]\n"
             "assert not loaded, loaded\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

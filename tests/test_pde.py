@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from poissonlab import pde, surface
+from poissonlab import estimates, pde, surface
 from poissonlab.rearrange import WeightedSamples
 
 
@@ -113,6 +113,73 @@ class TestOperator:
         u, rep = pde.solve_dirichlet(g, gfield, pde.constant_field(g, -4.0), np.zeros(16))
         assert rep.converged
         assert u.min_max()[0] >= -1e-10
+
+
+class TestModePreconditioner:
+    """The indefinite path: BiCGStab with the exact inverse of the
+    theta-averaged operator."""
+
+    @pytest.mark.parametrize("metric", ["flat", "sphere", "hyperbolic"])
+    @pytest.mark.parametrize("gfun", [lambda x, y: -3.0 + 0 * x,
+                                      lambda x, y: 2.0 - 9.0 * (x**2 + y**2)],
+                             ids=["constant", "radial"])
+    def test_exact_inverse_for_radial_data(self, metric, gfun):
+        # a radial metric with radial g has theta-independent couplings, so
+        # the theta-averaged operator is A and the preconditioner inverts it
+        grid = pde.PolarGrid(surface.from_name(metric, r_max=1.0001), 16, 24, 1.0)
+        g = pde.field_from_function(grid, gfun)
+        A, _ = pde.assemble_system(grid, g, pde.constant_field(grid, 0.0), np.zeros(24))
+        x = np.random.default_rng(3).normal(size=A.shape[0])
+        got = pde.mode_preconditioner(grid, g).matvec(A @ x)
+        assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
+
+    def test_matches_direct_solve(self):
+        # a source and a sink in g on opposite sides of the pole, as in the
+        # benchmark's indef rungs: any x with ||A x - b|| <= tol ||b|| is within
+        # ||A^-1||_inf tol ||b|| of the exact solution in the max norm
+        from scipy.sparse.linalg import LinearOperator, onenormest, splu
+
+        tol = 1e-10
+        bumps = [{"amp": 2.5, "k": 5.0, "center": (0.4, 0.1)},
+                 {"amp": -2.5, "k": 5.0, "center": (-0.4, -0.1)}]
+        case = estimates.ExperimentCase(
+            metric="hyperbolic", n_r=64, n_theta=64, g={"kind": "bumps", "bumps": bumps},
+            f={"kind": "random_bumps", "count": 3, "amp": (0.5, 3.0), "k": (2, 8),
+               "center_r_max": 0.6, "sign": "any", "seed": 1},
+            boundary={"kind": "fourier", "seed": 3, "modes": 3, "amp": 0.5, "offset": 0.3})
+        sol = estimates.solve_case(case, tol=tol)
+        assert sol.g.values.min() < 0 < sol.g.values.max()
+        assert sol.report.converged and sol.report.iterations <= 10
+        A, rhs = pde.assemble_system(sol.grid, sol.g, sol.f, sol.u.values[-1])
+        lu = splu(A.tocsc())
+        n = A.shape[0]
+        inv_norm = onenormest(LinearOperator((n, n), matvec=lambda v: lu.solve(v, trans="T"),
+                                             rmatvec=lu.solve, dtype=float))
+        x = np.concatenate([[sol.u.pole], sol.u.values[:-1].ravel()])
+        assert np.max(np.abs(x - lu.solve(rhs))) <= inv_norm * tol * np.linalg.norm(rhs)
+
+    def test_constant_g_sweep_to_past_resonance(self):
+        # g from -60 (far past the first Dirichlet eigenvalue, about 5.8) to
+        # -0.5 on every metric: finite answers, and converged exactly when the
+        # recomputed residual meets the tolerance
+        for metric in ("flat", "sphere", "hyperbolic", "perturbed:0.05"):
+            grid = pde.PolarGrid(surface.from_name(metric, r_max=1.0001), 16, 24, 1.0)
+            f = pde.field_from_function(grid, lambda x, y: np.exp(x) - y)
+            for value in np.linspace(-60.0, -0.5, 60):
+                u, rep = pde.solve_dirichlet(grid, pde.constant_field(grid, value), f,
+                                             np.cos(grid.theta_nodes), tol=1e-10)
+                assert np.all(np.isfinite(u.values)) and np.isfinite(u.pole)
+                assert rep.converged == (rep.residual_norm <= 1e-10)
+
+    def test_near_resonance_not_converged(self):
+        # g = -5.783185 is past the discrete first Dirichlet eigenvalue
+        # (5.78239 at 64x96): the solve must not claim a residual it missed
+        grid = flat_grid(64, 96)
+        u, rep = pde.solve_dirichlet(grid, pde.constant_field(grid, -5.783185),
+                                     pde.constant_field(grid, -4.0), 0.0, tol=1e-10)
+        assert np.all(np.isfinite(u.values)) and np.isfinite(u.pole)
+        assert rep.residual_norm > 1e-10
+        assert not rep.converged
 
 
 class TestAssembly:
@@ -244,7 +311,7 @@ class TestLogPotential:
         fs = f.as_samples()
         boundary_pts = np.stack([np.cos(g.theta_nodes), np.sin(g.theta_nodes)], axis=-1)
         b = pde.log_potential(fs, boundary_pts)
-        u, rep = pde.solve_dirichlet(g, None, f, b, tol=1e-12)
+        u, rep = pde.solve_dirichlet(g, None, f, b, tol=1e-11)
         assert rep.converged
         u0 = pde.log_potential(fs, [(0.0, 0.0)])[0]
         assert u.pole == pytest.approx(u0, abs=5e-3)
