@@ -128,6 +128,7 @@ def cmd_solve(args) -> int:
         "residual": sol.report.residual_norm,
         "iterations": sol.report.iterations,
         "converged": sol.report.converged,
+        "solver": sol.report.solver,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out is None:
@@ -135,7 +136,7 @@ def cmd_solve(args) -> int:
     else:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    print(f"{'PASS' if sol.report.converged else 'FAIL'} solve "
+    print(f"{'PASS' if sol.report.converged else 'FAIL'} solve solver={sol.report.solver} "
           f"residual={sol.report.residual_norm:.3g} iters={sol.report.iterations}",
           file=sys.stderr)
     return 0 if sol.report.converged else 2

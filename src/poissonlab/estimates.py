@@ -8,6 +8,7 @@ assert boundedness, never unspecified constants from the literature.
 """
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache
@@ -34,13 +35,19 @@ def smoothstep(t):
     """C-infinity monotone blend: 0 at t <= 0, 1 at t >= 1, 1/2 at t = 1/2."""
     a = _s(t)
     b = _s(1.0 - np.asarray(t, dtype=float))
-    return a / (a + b)
+    with np.errstate(invalid="ignore"):  # 0/0 only for NaN t, which stays NaN
+        return a / (a + b)
 
 
 def eta_radial(s):
-    """Radial profile of the cutoff bump: 1 on [0, 1], 0 on [2, inf)."""
+    """Radial profile of the cutoff bump: 1 on [0, 1], 0 on [2, inf).  The
+    smoothstep is evaluated on the transition band only; NaN falls in the
+    band and stays NaN."""
     s = np.asarray(s, dtype=float)
-    return np.where(s <= 1.0, 1.0, np.where(s >= 2.0, 0.0, smoothstep(2.0 - s)))
+    out = np.where(s <= 1.0, 1.0, 0.0)
+    band = ~((s <= 1.0) | (s >= 2.0))
+    out[band] = smoothstep(2.0 - s[band])
+    return out
 
 
 def bump_eta(x):
@@ -95,26 +102,61 @@ class ExperimentCase:
 _JSON_TYPES = {"str": str, "int": int, "float": (int, float), "dict": dict}
 
 
+def _is_number(v) -> bool:
+    # a real that converts to a double; NaN and infinities pass here and are
+    # rejected with the other non-finite data before the solve
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and (isinstance(v, float) or abs(v) <= sys.float_info.max))
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
+
+
+_SPEC_KINDS = {
+    "a number": _is_number,
+    "a non-negative integer": lambda v: (isinstance(v, numbers.Integral)
+                                         and not isinstance(v, bool) and v >= 0),
+    "a pair of numbers": _is_pair,
+    "a finite (low, high) range": lambda v: _is_pair(v) and bool(np.all(np.isfinite(v))),
+    "a list of objects": lambda v: isinstance(v, list) and all(isinstance(b, dict) for b in v),
+    "'any', 'pos' or 'neg'": lambda v: v in ("any", "pos", "neg"),
+}
+_REQUIRED = object()
+
+
+def _param(spec: dict, key: str, kind: str, default=_REQUIRED):
+    """spec[key], or the default when the key is absent; ValueError names the
+    key when a required key is absent or its value is not of the kind."""
+    if key not in spec:
+        if default is _REQUIRED:
+            raise ValueError(f"spec needs key {key!r}")
+        return default
+    if not _SPEC_KINDS[kind](spec[key]):
+        raise ValueError(f"spec key {key!r}: {spec[key]!r} is not {kind}")
+    return spec[key]
+
+
 def _resolve_bumps(grid: pde.PolarGrid, bumps) -> pde.DiscreteField:
     X, Y = grid.node_positions()
     vals = np.zeros_like(X)
     pole = 0.0
     for b in bumps:
-        cx, cy = b.get("center", (0.0, 0.0))
-        k = b["k"]
-        amp = b["amp"]
+        cx, cy = _param(b, "center", "a pair of numbers", (0.0, 0.0))
+        k = _param(b, "k", "a number")
+        amp = _param(b, "amp", "a number")
         vals += amp * eta_radial(k * np.hypot(X - cx, Y - cy))
         pole += amp * float(eta_radial(k * np.hypot(cx, cy)))
     return pde.DiscreteField(grid, vals, pole)
 
 
 def _random_bumps_spec(rng, spec) -> list:
-    lo_a, hi_a = spec.get("amp", (0.0, 1.0))
-    lo_k, hi_k = spec.get("k", (2.0, 8.0))
-    cmax = spec.get("center_r_max", 0.5)
-    sign = spec.get("sign", "any")
+    lo_a, hi_a = _param(spec, "amp", "a finite (low, high) range", (0.0, 1.0))
+    lo_k, hi_k = _param(spec, "k", "a finite (low, high) range", (2.0, 8.0))
+    cmax = _param(spec, "center_r_max", "a number", 0.5)
+    sign = _param(spec, "sign", "'any', 'pos' or 'neg'", "any")
     out = []
-    for _ in range(spec.get("count", 1)):
+    for _ in range(_param(spec, "count", "a non-negative integer", 1)):
         amp = rng.uniform(lo_a, hi_a)
         if sign == "neg":
             amp = -abs(amp)
@@ -135,15 +177,15 @@ def resolve_field(grid: pde.PolarGrid, spec: dict, seed: int = 0) -> pde.Discret
     if kind == "zero":
         out = pde.constant_field(grid, 0.0)
     elif kind == "constant":
-        out = pde.constant_field(grid, spec["value"])
+        out = pde.constant_field(grid, _param(spec, "value", "a number"))
     elif kind == "bumps":
-        out = _resolve_bumps(grid, spec["bumps"])
+        out = _resolve_bumps(grid, _param(spec, "bumps", "a list of objects"))
     elif kind == "random_bumps":
-        rng = np.random.default_rng(spec.get("seed", seed))
+        rng = np.random.default_rng(_param(spec, "seed", "a non-negative integer", seed))
         out = _resolve_bumps(grid, _random_bumps_spec(rng, spec))
     else:
         raise ValueError(f"unknown field kind {kind!r}")
-    out.values[~grid.ring_mask(spec.get("support_radius"))] = 0.0
+    out.values[~grid.ring_mask(_param(spec, "support_radius", "a number", None))] = 0.0
     return out
 
 
@@ -153,12 +195,12 @@ def resolve_boundary(grid: pde.PolarGrid, spec: dict, seed: int = 0) -> np.ndarr
     if kind == "zero":
         return np.zeros(grid.n_theta)
     if kind == "constant":
-        return np.full(grid.n_theta, float(spec["value"]))
+        return np.full(grid.n_theta, float(_param(spec, "value", "a number")))
     if kind == "fourier":
-        rng = np.random.default_rng(spec.get("seed", seed))
-        amp = spec.get("amp", 1.0)
-        vals = np.full(grid.n_theta, float(spec.get("offset", 0.0)))
-        for m in range(1, spec.get("modes", 3) + 1):
+        rng = np.random.default_rng(_param(spec, "seed", "a non-negative integer", seed))
+        amp = _param(spec, "amp", "a number", 1.0)
+        vals = np.full(grid.n_theta, float(_param(spec, "offset", "a number", 0.0)))
+        for m in range(1, _param(spec, "modes", "a non-negative integer", 3) + 1):
             vals += amp / m * (rng.uniform(-1, 1) * np.cos(m * th)
                                + rng.uniform(-1, 1) * np.sin(m * th))
         return vals

@@ -3,8 +3,10 @@
 The operator is assembled in self-adjoint divergence form with cell-face
 averaged coefficients.  The pole is a single unknown whose equation is the
 flux balance over the innermost half-cell disk, which avoids the coordinate
-singularity.  For g >= 0 the scaled system is SPD and solved by Jacobi-
-preconditioned CG.  Sign-indefinite g is solved by BiCGStab preconditioned
+singularity.  For g >= 0 the scaled system is SPD and solved by the
+Jacobi-preconditioned CG loop `cg` below, which makes scipy's floating-point
+operations in scipy's order without its per-iteration operator dispatch.
+Sign-indefinite g is solved by scipy's BiCGStab preconditioned
 with the exact inverse of the theta-averaged operator: an rfft in theta, then
 one tridiagonal solve in r per Fourier mode (Concus & Golub 1973; the mode
 solves of Swarztrauber & Sweet 1973).  A solve is converged only when the
@@ -17,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, bicgstab, cg
+from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .rearrange import WeightedSamples
 from .surface import MetricProfile, ball_volume
@@ -165,6 +167,7 @@ class SolveReport:
     residual_norm: float
     iterations: int
     converged: bool
+    solver: str            # "cg" (g >= 0) or "bicgstab"
 
 
 def field_from_function(grid: PolarGrid, func) -> DiscreteField:
@@ -259,6 +262,44 @@ def mode_preconditioner(grid: PolarGrid, g: DiscreteField) -> LinearOperator:
     return LinearOperator((1 + n * n_t,) * 2, matvec=apply, dtype=float)
 
 
+def cg(A, b, *, rtol, atol=0.0, maxiter, M, callback=None):
+    """Preconditioned conjugate gradients from x0 = 0 (Hestenes & Stiefel
+    1952, in the form of Barrett et al., Templates, 1994), with z = M r for
+    M the inverse of A's diagonal (Jacobi).
+
+    The floating-point operations and their order are those of scipy 1.17's
+    scipy.sparse.linalg.cg, so x and the iteration count are bitwise scipy's;
+    the stopping test sqrt(r.r) < max(atol, rtol |b|) is bitwise
+    np.linalg.norm.  callback(x) runs once per iteration.  Returns (x, 0) on
+    convergence (zeros for b = 0) and (x, maxiter) when the iterations run
+    out."""
+    bnorm = np.sqrt(np.dot(b, b))
+    if bnorm == 0:
+        return np.zeros_like(b), 0
+    atol = max(float(atol), rtol * bnorm)
+    x, r = np.zeros_like(b), b.copy()
+    z, t = np.empty_like(b), np.empty_like(b)
+    p = rho_prev = None
+    for _ in range(maxiter):
+        if np.sqrt(np.dot(r, r)) < atol:
+            return x, 0
+        np.multiply(M, r, out=z)   # the preconditioner: z = M r
+        rho = np.dot(r, z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += np.multiply(alpha, p, out=t)
+        r -= np.multiply(alpha, q, out=t)
+        rho_prev = rho
+        if callback:
+            callback(x)
+    return x, maxiter
+
+
 def solve_dirichlet(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
                     boundary, tol: float = 1e-10, maxiter: int | None = None):
     """Solve Lap u = g u + f with Dirichlet data on r = r_max."""
@@ -277,17 +318,15 @@ def solve_dirichlet(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
     spd = g is None or (np.min(g.values) >= 0 and g.pole >= 0)
     if maxiter is None:
         maxiter = 40 * int(np.sqrt(A.shape[0])) + 2000
-    if spd:
-        inv = 1.0 / A.diagonal()   # Jacobi
-        precond = LinearOperator(A.shape, matvec=lambda x: inv * x.ravel(), dtype=float)
-    else:
-        precond = mode_preconditioner(grid, g)
+    # Jacobi (the inverse diagonal) for cg, the theta-mode solve for bicgstab
+    precond = 1.0 / A.diagonal() if spd else mode_preconditioner(grid, g)
     solver = cg if spd else bicgstab
     x, info = solver(A, rhs, rtol=tol, atol=0.0, maxiter=maxiter, M=precond, callback=cb)
     rnorm = float(np.linalg.norm(A @ x - rhs))
     bnorm = float(np.linalg.norm(rhs))
     rel = rnorm / bnorm if bnorm > 0 else rnorm
-    report = SolveReport(rel, count[0], bool(info == 0 and rel <= tol))
+    report = SolveReport(rel, count[0], bool(info == 0 and rel <= tol),
+                         "cg" if spd else "bicgstab")
 
     vals = np.empty((grid.n_r, grid.n_theta))
     vals[:-1] = x[1:].reshape(grid.n_r - 1, grid.n_theta)

@@ -101,6 +101,33 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    @pytest.mark.parametrize("field", ["f", "g"])
+    @pytest.mark.parametrize("bump", ['{"k": NaN, "amp": 1}', '{"k": 4, "amp": NaN}',
+                                      '{"k": 4, "amp": 1, "center": [NaN, 0]}'],
+                             ids=["k", "amp", "center"])
+    def test_nan_bump_one_line(self, tmp_path, capsys, field, bump):
+        path = tmp_path / "case.json"
+        path.write_text(f'{{"n_r": 16, "n_theta": 16, "{field}": '
+                        f'{{"kind": "bumps", "bumps": [{bump}]}}}}')
+        assert main(["solve", "--case", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: f, g and boundary values must be finite"]
+
+    @pytest.mark.parametrize("spec, key", [
+        ('"f": {"kind": "bumps", "bumps": [{"amp": 1}]}', "k"),
+        ('"f": {"kind": "bumps", "bumps": [{"amp": 1, "k": "4"}]}', "k"),
+        ('"g": {"kind": "random_bumps", "count": "2"}', "count"),
+        ('"boundary": {"kind": "fourier", "modes": 2.5}', "modes"),
+    ], ids=["bump-without-k", "string-k", "string-count", "fractional-modes"])
+    def test_malformed_spec_one_line(self, tmp_path, capsys, spec, key):
+        path = tmp_path / "case.json"
+        path.write_text(f'{{"n_r": 16, "n_theta": 16, {spec}}}')
+        assert main(["solve", "--case", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"'{key}'" in err
+
     @pytest.mark.parametrize("argv", [
         ["--kmin", "0"],
         ["--kmin", "16", "--kmax", "8"],
@@ -281,6 +308,17 @@ class TestSubcommands:
         sol = json.loads(out.read_text())
         assert sol["converged"]
         assert sol["pole"] == pytest.approx(1.0, abs=1e-7)
+
+    @pytest.mark.parametrize("g, solver", [(1.0, "cg"), (-1.0, "bicgstab")])
+    def test_solve_reports_solver(self, tmp_path, capsys, g, solver):
+        case = {"n_r": 16, "n_theta": 16, "f": {"kind": "constant", "value": -4.0},
+                "g": {"kind": "constant", "value": g}}
+        cpath = tmp_path / "case.json"
+        cpath.write_text(json.dumps(case))
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--case", str(cpath), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["solver"] == solver
+        assert f" solver={solver} " in capsys.readouterr().err
 
     def test_interior_small(self, tmp_path, capsys):
         out = tmp_path / "interior.json"

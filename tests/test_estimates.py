@@ -23,6 +23,20 @@ class TestBump:
         assert np.all(vals >= 0) and np.all(vals <= 1)
         assert np.all(np.diff(vals) <= 1e-14)  # non-increasing in |x|
 
+    def test_band_only(self):
+        # exact 1 and 0 off the band (1, 2), the smoothstep on it, NaN kept
+        s = np.array([0.0, 1.0, 1.25, 1.5, 1.999, 2.0, 7.0, np.nan])
+        vals = estimates.eta_radial(s)
+        assert np.array_equal(vals[:2], [1.0, 1.0]) and np.array_equal(vals[5:7], [0.0, 0.0])
+        assert np.array_equal(vals[2:5], estimates.smoothstep(2.0 - s[2:5]))
+        assert np.isnan(vals[-1])
+
+    @pytest.mark.parametrize("s", [0.5, 1.5, 2.5, np.nan])
+    def test_scalar_gives_0d_array(self, s):
+        out = estimates.eta_radial(s)
+        assert isinstance(out, np.ndarray) and out.ndim == 0
+        assert np.array_equal(out, estimates.eta_radial([s])[0], equal_nan=True)
+
 
 class TestExperimentCase:
     def test_json_roundtrip(self):
@@ -46,6 +60,59 @@ class TestExperimentCase:
         a = estimates.resolve_field(grid, spec)
         b = estimates.resolve_field(grid, spec)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("field", ["f", "g"])
+    @pytest.mark.parametrize("bad", [{"k": np.nan}, {"amp": np.nan}, {"center": (np.nan, 0.0)},
+                                     {"center": (0.2, np.nan)}],
+                             ids=["k", "amp", "center-x", "center-y"])
+    def test_nan_bump_rejected(self, field, bad):
+        # a NaN in a bump reaches the field as NaN, which the solver rejects
+        bump = dict({"amp": 1.0, "k": 4.0, "center": (0.2, 0.1)}, **bad)
+        case = estimates.ExperimentCase(n_r=16, n_theta=16,
+                                        **{field: {"kind": "bumps", "bumps": [bump]}})
+        with pytest.raises(ValueError, match="must be finite"):
+            estimates.solve_case(case)
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "constant"}, "value"),
+        ({"kind": "constant", "value": "1"}, "value"),
+        ({"kind": "bumps"}, "bumps"),
+        ({"kind": "bumps", "bumps": {"k": 4}}, "bumps"),
+        ({"kind": "bumps", "bumps": [{"amp": 1.0}]}, "k"),
+        ({"kind": "bumps", "bumps": [{"amp": 1.0, "k": "4"}]}, "k"),
+        ({"kind": "bumps", "bumps": [{"k": 4.0}]}, "amp"),
+        ({"kind": "bumps", "bumps": [{"amp": True, "k": 4.0}]}, "amp"),
+        ({"kind": "bumps", "bumps": [{"amp": 1.0, "k": 4.0, "center": [0.1]}]}, "center"),
+        ({"kind": "bumps", "bumps": [{"amp": 1.0, "k": 4.0, "center": 0.1}]}, "center"),
+        ({"kind": "random_bumps", "count": "3"}, "count"),
+        ({"kind": "random_bumps", "count": 2.0}, "count"),
+        ({"kind": "random_bumps", "count": -3}, "count"),
+        ({"kind": "random_bumps", "seed": "5"}, "seed"),
+        ({"kind": "random_bumps", "sign": "positive"}, "sign"),
+        ({"kind": "random_bumps", "amp": [0.0, float("nan")]}, "amp"),
+        ({"kind": "random_bumps", "k": [2, float("inf")]}, "k"),
+        ({"kind": "random_bumps", "center_r_max": "0.5"}, "center_r_max"),
+        ({"kind": "constant", "value": 1.0, "support_radius": "1"}, "support_radius"),
+    ])
+    def test_malformed_field_spec_names_key(self, spec, key):
+        grid = pde.PolarGrid(surface.flat(), 16, 16, 1.0)
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            estimates.resolve_field(grid, spec)
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "constant"}, "value"),
+        ({"kind": "constant", "value": [1.0]}, "value"),
+        ({"kind": "fourier", "modes": 2.5}, "modes"),
+        ({"kind": "fourier", "modes": "3"}, "modes"),
+        ({"kind": "fourier", "modes": -2}, "modes"),
+        ({"kind": "fourier", "amp": "1"}, "amp"),
+        ({"kind": "fourier", "offset": None}, "offset"),
+        ({"kind": "fourier", "seed": 1.5}, "seed"),
+    ])
+    def test_malformed_boundary_spec_names_key(self, spec, key):
+        grid = pde.PolarGrid(surface.flat(), 16, 16, 1.0)
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            estimates.resolve_boundary(grid, spec)
 
     def test_support_restriction(self):
         grid = pde.PolarGrid(surface.flat(2.001), 16, 16, 2.0)

@@ -115,6 +115,63 @@ class TestOperator:
         assert u.min_max()[0] >= -1e-10
 
 
+class TestCG:
+    """pde.cg makes scipy's CG operations in scipy's order, so x, the exit
+    code and the iteration count are bitwise those of scipy's cg with the
+    Jacobi operator."""
+
+    @staticmethod
+    def _both(A, b, maxiter):
+        from scipy.sparse.linalg import LinearOperator, cg
+
+        inv = 1.0 / A.diagonal()
+        jacobi = LinearOperator(A.shape, matvec=lambda x: inv * x.ravel(), dtype=float)
+        out = []
+        for solver, M in ((cg, jacobi), (pde.cg, inv)):
+            calls = []
+            x, info = solver(A, b, rtol=1e-10, atol=0.0, maxiter=maxiter, M=M,
+                             callback=calls.append)
+            out.append((x, info, len(calls)))
+        return out
+
+    @pytest.mark.parametrize("case", [
+        estimates.random_interior_case(0, 32, 48, "flat"),
+        estimates.random_interior_case(1, 32, 48, "perturbed:0.05"),
+        estimates.ExperimentCase(  # the benchmark's sep shape: flat, g = 0
+            n_r=64, n_theta=96,
+            f={"kind": "random_bumps", "count": 3, "amp": (0.5, 3.0), "k": (2, 8),
+               "center_r_max": 0.6, "sign": "any", "seed": 7920},
+            boundary={"kind": "fourier", "seed": 7922, "modes": 3, "amp": 0.5, "offset": 0.3}),
+    ], ids=["corpus-flat", "corpus-perturbed", "sep-64x96"])
+    def test_bitwise_scipy(self, case):
+        sol = estimates.solve_case(case)
+        A, rhs = pde.assemble_system(sol.grid, sol.g, sol.f, sol.u.values[-1])
+        (x0, info0, n0), (x1, info1, n1) = self._both(A, rhs, 5000)
+        assert info0 == info1 == 0 and n0 == n1 > 0
+        assert np.array_equal(x0, x1)
+
+    def test_zero_rhs(self):
+        g = flat_grid(16, 16)
+        A, _ = pde.assemble_system(g, None, pde.constant_field(g, 0.0), np.zeros(16))
+        (x0, info0, n0), (x1, info1, n1) = self._both(A, np.zeros(A.shape[0]), 100)
+        assert info0 == info1 == 0 and n0 == n1 == 0
+        assert np.array_equal(x0, x1) and not x1.any()
+
+    def test_iterations_run_out(self):
+        g = flat_grid(16, 16)
+        A, rhs = pde.assemble_system(g, None, pde.constant_field(g, -4.0), np.zeros(16))
+        (x0, info0, n0), (x1, info1, n1) = self._both(A, rhs, 5)
+        assert info0 == info1 == 5 and n0 == n1 == 5
+        assert np.array_equal(x0, x1)
+
+    def test_report_names_solver(self):
+        g = flat_grid(16, 16)
+        f = pde.constant_field(g, -4.0)
+        assert pde.solve_dirichlet(g, None, f, 0.0)[1].solver == "cg"
+        assert pde.solve_dirichlet(g, pde.constant_field(g, 1.0), f, 0.0)[1].solver == "cg"
+        assert pde.solve_dirichlet(g, pde.constant_field(g, -1.0), f, 0.0)[1].solver == "bicgstab"
+
+
 class TestModePreconditioner:
     """The indefinite path: BiCGStab with the exact inverse of the
     theta-averaged operator."""

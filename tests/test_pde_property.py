@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from poissonlab import pde, surface
+from poissonlab import estimates, pde, surface
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -82,3 +82,32 @@ def test_indefinite_solution_rotates_with_data(metric, n_r, n_theta, seed, shift
     scale = u.sup_norm()
     assert np.max(np.abs(v.values - np.roll(u.values, shift, axis=1))) <= 1e-9 * scale
     assert abs(v.pole - u.pole) <= 1e-9 * scale
+
+
+_bumps = st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(2.0, 8.0), st.floats(-0.6, 0.6),
+                            st.floats(-0.6, 0.6)), min_size=1, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_sides, _sides, _bumps, _bumps, _seeds)
+def test_flat_solution_invariant_under_dilation(n_r, n_theta, f_bumps, g_bumps, seed):
+    # on the flat metric B_1 and B_{1/2} have the same couplings a and b and
+    # weights scaled by 1/4; halving the centres, doubling k and scaling the
+    # amplitudes by 4 rescales f and g by 4, so every rounded operation
+    # repeats and u and the CG iteration count are bitwise the same
+    def case(rho, f_sign):
+        def spec(bumps, sign):
+            return {"kind": "bumps", "bumps": [
+                {"amp": sign * amp / rho**2, "k": k / rho, "center": (rho * cx, rho * cy)}
+                for amp, k, cx, cy in bumps]}
+
+        return estimates.ExperimentCase(
+            n_r=n_r, n_theta=n_theta, r_max=rho, R_outer=rho, R_inner=rho / 2,
+            f=spec(f_bumps, f_sign), g=spec(g_bumps, 1.0),
+            boundary={"kind": "fourier", "seed": seed, "amp": 0.5, "offset": 0.3})
+
+    f_sign = 1.0 if seed % 2 else -1.0
+    one, half = estimates.solve_case(case(1.0, f_sign)), estimates.solve_case(case(0.5, f_sign))
+    assert one.report.solver == half.report.solver == "cg"
+    assert np.array_equal(one.u.values, half.u.values) and one.u.pole == half.u.pole
+    assert one.report.iterations == half.report.iterations
