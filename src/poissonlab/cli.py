@@ -49,10 +49,18 @@ def _load_samples(path) -> WeightedSamples:
     if not isinstance(rows, list) or not rows:
         raise InputError(f"{path!r}: expected a nonempty JSON array of rows")
     widths = {len(r) if isinstance(r, list) else -1 for r in rows}
-    if widths not in ({2}, {4}) or not all(_finite_number(x) for r in rows for x in r):
+    arr = None
+    if widths in ({2}, {4}) and {type(x) for r in rows for x in r} <= {int, float}:  # no bools
+        try:
+            arr = np.asarray(rows, dtype=float)
+        except OverflowError:  # an int beyond double range
+            pass
+    # NaN, infinities and +-max fail the bound; an int just above double range
+    # rounds to +-max, so only then is each value checked
+    if arr is None or not (np.max(np.abs(arr)) < sys.float_info.max
+                           or all(_finite_number(x) for r in rows for x in r)):
         raise InputError(f"{path!r}: rows must be (value, measure) or (value, r, theta, measure) "
                          "arrays of finite numbers")
-    arr = np.asarray(rows, dtype=float)
     if widths == {2}:
         return WeightedSamples(arr[:, 0], arr[:, 1])
     pos = np.stack([arr[:, 1] * np.cos(arr[:, 2]), arr[:, 1] * np.sin(arr[:, 2])], axis=-1)
@@ -129,6 +137,8 @@ def cmd_solve(args) -> int:
         "iterations": sol.report.iterations,
         "converged": sol.report.converged,
         "solver": sol.report.solver,
+        "setup_s": sol.report.setup_s,
+        "solve_s": sol.report.solve_s,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out is None:
@@ -137,7 +147,8 @@ def cmd_solve(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(f"{'PASS' if sol.report.converged else 'FAIL'} solve solver={sol.report.solver} "
-          f"residual={sol.report.residual_norm:.3g} iters={sol.report.iterations}",
+          f"residual={sol.report.residual_norm:.3g} iters={sol.report.iterations} "
+          f"setup_s={sol.report.setup_s:.3g} solve_s={sol.report.solve_s:.3g}",
           file=sys.stderr)
     return 0 if sol.report.converged else 2
 

@@ -1,24 +1,28 @@
 """Discrete Laplace-Beltrami operator on polar grids and Dirichlet solves.
 
 The operator is assembled in self-adjoint divergence form with cell-face
-averaged coefficients.  The pole is a single unknown whose equation is the
-flux balance over the innermost half-cell disk, which avoids the coordinate
-singularity.  For g >= 0 the scaled system is SPD and solved by the
-Jacobi-preconditioned CG loop `cg` below, which makes scipy's floating-point
-operations in scipy's order without its per-iteration operator dispatch.
-Sign-indefinite g is solved by scipy's BiCGStab preconditioned
-with the exact inverse of the theta-averaged operator: an rfft in theta, then
-one tridiagonal solve in r per Fourier mode (Concus & Golub 1973; the mode
-solves of Swarztrauber & Sweet 1973).  A solve is converged only when the
-recomputed true residual meets the tolerance.
+averaged coefficients, written directly as CSR arrays in sorted column
+order.  The pole is a single unknown whose equation is the flux balance over
+the innermost half-cell disk, which avoids the coordinate singularity.  For
+g >= 0 the scaled system is SPD and solved by the Jacobi-preconditioned CG
+loop `cg` below, which makes scipy's floating-point operations in scipy's
+order without its per-iteration operator dispatch.  Sign-indefinite g is
+solved by scipy's BiCGStab preconditioned with the exact inverse of the
+theta-averaged operator: an rfft in theta, then one tridiagonal solve in r
+per Fourier mode (Concus & Golub 1973; the mode solves of Swarztrauber &
+Sweet 1973), all modes in one LAPACK tridiagonal factored once per solve.
+A solve is converged only when the recomputed true residual meets the
+tolerance.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dgttrf, zgttrs
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .rearrange import WeightedSamples
@@ -168,6 +172,8 @@ class SolveReport:
     iterations: int
     converged: bool
     solver: str            # "cg" (g >= 0) or "bicgstab"
+    setup_s: float         # assembly plus the preconditioner's set-up, seconds
+    solve_s: float         # the Krylov loop, seconds
 
 
 def field_from_function(grid: PolarGrid, func) -> DiscreteField:
@@ -199,28 +205,31 @@ def assemble_system(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
     Unknowns are the pole, then rings 0..n_r-2 in theta order; the boundary
     ring carries the Dirichlet data."""
     geo = geometry(grid)
-    a, b, w, pv = geo.a, geo.b, geo.weights, geo.pole_volume   # only w[:-1] (full cells) is read
-    n_t = grid.n_theta
-    N = 1 + (grid.n_r - 1) * n_t
-    ids = np.arange(1, N, dtype=np.int32).reshape(grid.n_r - 1, n_t)
-    gw = 0.0 if g is None else g.values[:-1] * w[:-1]
+    a, b, w, pv = geo.a, geo.b[:-1], geo.weights[:-1], geo.pole_volume  # w: full cells only
+    n_t, n = grid.n_theta, grid.n_r - 1
+    N, nnz = 1 + n * n_t, 1 + 5 * n * n_t
+    ids = np.arange(1, N, dtype=np.int32).reshape(n, n_t)
+    gw = 0.0 if g is None else g.values[:-1] * w
     gp = 0.0 if g is None else g.pole
-
-    diag = np.concatenate([[a[0].sum() + gp * pv],
-                           (a[:-1] + a[1:] + b[:-1] + np.roll(b[:-1], 1, axis=1) + gw).ravel()])
-    # each off-diagonal coupling once, as (lo, hi, value): pole-ring 0,
-    # ring i-ring i+1, and theta_j-theta_{j+1} (periodic) on every ring
-    lo = np.concatenate([np.zeros(n_t, np.int32), ids[:-1].ravel(), ids.ravel()])
-    hi = np.concatenate([ids[0], ids[1:].ravel(), np.roll(ids, -1, axis=1).ravel()])
-    off = -np.concatenate([a[0], a[1:-1].ravel(), b[:-1].ravel()])
-    dia = np.arange(N, dtype=np.int32)
-    A = sparse.csr_matrix((np.concatenate([diag, off, off]),
-                           (np.concatenate([dia, lo, hi]), np.concatenate([dia, hi, lo]))),
-                          shape=(N, N))
+    # CSR in sorted column order: the pole row, then per ring row inner (the pole for ring 0),
+    # left, self, right, outer, reordered at the theta wrap; last-ring rows drop outer, close up
+    data, indices = np.empty(nnz + n_t), np.empty(nnz + n_t, np.int32)
+    data[0], data[1:n_t + 1], indices[:n_t + 1] = a[0].sum() + gp * pv, -a[0], np.arange(n_t + 1)
+    vals, cols = data[n_t + 1:].reshape(n, n_t, 5), indices[n_t + 1:].reshape(n, n_t, 5)
+    vals[..., 0], vals[..., 1], vals[..., 3] = -a[:-1], -np.roll(b, 1, axis=1), -b
+    vals[..., 2], vals[:-1, :, 4] = a[:-1] + a[1:] + b + np.roll(b, 1, axis=1) + gw, -a[1:-1]
+    cols[0, :, 0], cols[1:, :, 0], cols[..., 1] = 0, ids[:-1], np.roll(ids, 1, axis=1)
+    cols[..., 2], cols[..., 3], cols[:-1, :, 4] = ids, np.roll(ids, -1, axis=1), ids[1:]
+    for arr in (vals, cols):
+        arr[:, 0], arr[:, -1] = arr[:, 0, [0, 2, 3, 1, 4]], arr[:, -1, [0, 3, 1, 2, 4]]
+        arr.reshape(-1)[-5 * n_t:-n_t] = arr[-1, :, :4].ravel()
+    k = np.arange(n * n_t + 1, dtype=np.int32)
+    indptr = np.append(np.int32(0), n_t + 1 + np.minimum(5 * k, 4 * k + (n - 1) * n_t))
+    A = sparse.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(N, N))
 
     rhs = np.empty(N)
     rhs[0] = -f.pole * pv
-    rhs[1:] = (-f.values[:-1] * w[:-1]).ravel()
+    rhs[1:] = (-f.values[:-1] * w).ravel()
     rhs[-n_t:] += a[-1] * boundary
     return A, rhs
 
@@ -232,32 +241,29 @@ def mode_preconditioner(grid: PolarGrid, g: DiscreteField) -> LinearOperator:
     With the unitary rfft in theta every Fourier mode m decouples into one
     tridiagonal in r with diagonal a_i + a_{i+1} + (g w)_i + b_i lam_m.  The
     pole is row 0 of every mode, coupled by -a_0 sqrt(n_theta) to mode 0 of
-    ring 0 only (a unit row elsewhere).  The Thomas factors (no pivoting)
-    are built once per solve, vectorised over the modes."""
+    ring 0 only (a unit row elsewhere).  Stacked mode-major with zero coupling,
+    the modes form one tridiagonal that LAPACK factors once per solve."""
     geo, n_t = geometry(grid), grid.n_theta
     a, n, M = geo.a_bar, grid.n_r - 1, geo.symbols.size
-    d = np.ones((n + 1, M))
+    d = np.ones((M, n + 1))
     d[0, 0] = n_t * a[0] + g.pole * geo.pole_volume
     gw = (g.values[:-1] * geo.weights[:-1]).mean(axis=1)
-    d[1:] = (a[:-1] + a[1:] + gw)[:, None] + geo.b_bar[:, None] * geo.symbols
-    e = np.zeros((n, M))             # e[i] couples row i to row i + 1
+    d[:, 1:] = a[:-1] + a[1:] + gw + geo.symbols[:, None] * geo.b_bar
+    e = np.zeros((M, n + 1))         # e[m, i] couples row i to row i + 1 of mode m
     e[0, 0] = -a[0] * np.sqrt(n_t)
-    e[1:] = -a[1:-1, None]
-    lower, inv_piv = np.zeros((n + 1, M)), 1 / d
-    for i in range(1, n + 1):
-        lower[i] = e[i - 1] * inv_piv[i - 1]
-        inv_piv[i] = 1 / (d[i] - lower[i] * e[i - 1])
+    e[:, 1:-1] = -a[1:-1]
+    *lu, ipiv, info = dgttrf(e.ravel()[:-1], d.ravel(), e.ravel()[:-1])
+    if info > 0:  # U is exactly singular: zgttrs would divide by zero
+        raise ValueError("the theta-averaged operator is singular: g is at an eigenvalue")
+    lu, y = [x.astype(complex) for x in lu], np.zeros((M, n + 1), complex)
 
-    def apply(r):
-        y = np.zeros((n + 1, M), complex)
-        y[0, 0] = r[0]
-        y[1:] = np.fft.rfft(r[1:].reshape(n, n_t), norm="ortho")
-        for i in range(1, n + 1):
-            y[i] -= lower[i] * y[i - 1]
-        y[n] *= inv_piv[n]
-        for i in range(n - 1, -1, -1):
-            y[i] = (y[i] - e[i] * y[i + 1]) * inv_piv[i]
-        return np.concatenate([[y[0, 0].real], np.fft.irfft(y[1:], n_t, norm="ortho").ravel()])
+    def apply(r):  # y is reused: rows 0 of modes m > 0 are decoupled unit rows, never read
+        out = np.empty_like(r)
+        y[0, 0], y[:, 1:] = r[0], np.fft.rfft(r[1:].reshape(n, n_t).T, axis=0, norm="ortho")
+        x = zgttrs(*lu, ipiv, y.ravel(), overwrite_b=1)[0].reshape(M, n + 1)
+        out[0] = x[0, 0].real  # irfft writes ring-major through out=, with no transpose copy
+        np.fft.irfft(x[:, 1:], n_t, axis=0, norm="ortho", out=out[1:].reshape(n, n_t).T)
+        return out
 
     return LinearOperator((1 + n * n_t,) * 2, matvec=apply, dtype=float)
 
@@ -306,6 +312,7 @@ def solve_dirichlet(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
     if not (np.isfinite(tol) and tol > 0):  # no iterate meets a tolerance <= 0
         raise ValueError(f"solver tolerance must be finite and positive, got {tol}")
     boundary = np.broadcast_to(np.asarray(boundary, dtype=float), (grid.n_theta,)).copy()
+    start = time.perf_counter()
     A, rhs = assemble_system(grid, g, f, boundary)
     # the weights are positive and finite, so this rejects non-finite f, g or boundary data
     if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(A.data))):
@@ -321,12 +328,14 @@ def solve_dirichlet(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
     # Jacobi (the inverse diagonal) for cg, the theta-mode solve for bicgstab
     precond = 1.0 / A.diagonal() if spd else mode_preconditioner(grid, g)
     solver = cg if spd else bicgstab
+    setup_end = time.perf_counter()
     x, info = solver(A, rhs, rtol=tol, atol=0.0, maxiter=maxiter, M=precond, callback=cb)
+    solve_s = time.perf_counter() - setup_end
     rnorm = float(np.linalg.norm(A @ x - rhs))
     bnorm = float(np.linalg.norm(rhs))
     rel = rnorm / bnorm if bnorm > 0 else rnorm
     report = SolveReport(rel, count[0], bool(info == 0 and rel <= tol),
-                         "cg" if spd else "bicgstab")
+                         "cg" if spd else "bicgstab", setup_end - start, solve_s)
 
     vals = np.empty((grid.n_r, grid.n_theta))
     vals[:-1] = x[1:].reshape(grid.n_r - 1, grid.n_theta)

@@ -2,14 +2,16 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from poissonlab import cli, estimates, rearrange, report, surface
+from poissonlab import cli, estimates, pde, rearrange, report, surface
 from poissonlab.cli import build_parser, main
 from poissonlab.report import VerdictReport
 
@@ -317,8 +319,25 @@ class TestSubcommands:
         cpath.write_text(json.dumps(case))
         out = tmp_path / "sol.json"
         assert main(["solve", "--case", str(cpath), "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["solver"] == solver
-        assert f" solver={solver} " in capsys.readouterr().err
+        sol = json.loads(out.read_text())
+        assert sol["solver"] == solver
+        assert all(math.isfinite(sol[k]) and sol[k] >= 0 for k in ("setup_s", "solve_s"))
+        err = capsys.readouterr().err
+        assert f" solver={solver} " in err and " setup_s=" in err and " solve_s=" in err
+
+    def test_solve_singular_mode_operator(self, tmp_path, capsys, monkeypatch):
+        # a zero pivot in the theta-mode factorisation exits 1 with one line
+        factor = pde.dgttrf
+        monkeypatch.setattr(pde, "dgttrf", lambda *args: (*factor(*args)[:-1], 1))
+        case = {"n_r": 16, "n_theta": 16, "f": {"kind": "constant", "value": -4.0},
+                "g": {"kind": "constant", "value": -1.0}}
+        cpath = tmp_path / "case.json"
+        cpath.write_text(json.dumps(case))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--case", str(cpath)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "singular" in lines[0]
 
     def test_interior_small(self, tmp_path, capsys):
         out = tmp_path / "interior.json"

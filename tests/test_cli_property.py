@@ -1,13 +1,16 @@
 """Property tests of the CLI's input contract: bad `verify-norms` and `report`
-rows exit 1 with one line, never a traceback."""
+rows exit 1 with one line, never a traceback, and `verify-norms` accepts
+exactly the rows that the per-value rule accepts."""
 import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 import pytest
 
+from poissonlab import cli
 from poissonlab.cli import main
 
 pytest.importorskip("hypothesis")
@@ -48,6 +51,48 @@ class TestVerifyNormsProperty:
                     max_size=6))
     def test_any_rows_exit_cleanly(self, rows):
         _run_on_rows("verify-norms", rows)
+
+
+def _rows_valid(rows) -> bool:
+    """The per-value rule of `verify-norms --input` rows: a nonempty array of
+    rows all of width 2 or all of width 4, each entry an int or a float (no
+    bool) of absolute value at most the largest double."""
+    def finite_number(x):
+        return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+    return (isinstance(rows, list) and bool(rows)
+            and {len(r) if isinstance(r, list) else -1 for r in rows} in ({2}, {4})
+            and all(finite_number(x) for r in rows for x in r))
+
+
+_BIG = int(sys.float_info.max)
+# entries at the edges of the rule: ints either side of the largest double
+# (some round to it), ints past the double range, bools, NaN, infinities and
+# the largest doubles themselves
+_entries = (st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([sys.float_info.max, -sys.float_info.max, _BIG + 1, -_BIG - 1,
+                               True, False, None, "1"])
+            | st.integers(-10**6, 10**6) | st.integers(_BIG - 2**971, _BIG + 2**971)
+            | st.integers(-_BIG - 2**971, -_BIG + 2**971) | st.integers(-10**400, 10**400))
+
+
+class TestVerifyNormsRule:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(_entries, min_size=2, max_size=2), min_size=1, max_size=5)
+           | st.lists(st.lists(_entries, min_size=4, max_size=4), min_size=1, max_size=5)
+           | st.lists(st.lists(_entries, min_size=1, max_size=4) | _entries, max_size=4))
+    def test_loader_agrees_with_per_value_rule(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rows.json")
+            with open(path, "w") as fh:
+                json.dump(rows, fh)
+            try:
+                with contextlib.suppress(ValueError):  # WeightedSamples' checks come after
+                    cli._load_samples(path)
+                accepted = True
+            except cli.InputError:
+                accepted = False
+        assert accepted == _rows_valid(rows)
 
 
 # a well-formed verdict row with stray keys, then the same with one field

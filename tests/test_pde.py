@@ -1,8 +1,10 @@
 """Unit tests for the discrete Laplace-Beltrami operator and potentials."""
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from poissonlab import estimates, pde, surface
 from poissonlab.rearrange import WeightedSamples
@@ -107,6 +109,15 @@ class TestOperator:
         assert not rep.converged
         assert rep.residual_norm > 0
 
+    def test_report_times(self):
+        # set-up (assembly, preconditioner) and Krylov loop are timed apart on both paths
+        g = flat_grid(16, 16)
+        f = pde.constant_field(g, -4.0)
+        for gfield in (None, pde.constant_field(g, -1.0)):
+            rep = pde.solve_dirichlet(g, gfield, f, 0.0)[1]
+            assert np.isfinite(rep.setup_s) and rep.setup_s >= 0
+            assert np.isfinite(rep.solve_s) and rep.solve_s >= 0
+
     def test_indefinite_g_uses_fallback(self):
         g = flat_grid(16, 16)
         gfield = pde.constant_field(g, -1.0)  # still coercive: below lambda_1
@@ -182,13 +193,15 @@ class TestModePreconditioner:
                              ids=["constant", "radial"])
     def test_exact_inverse_for_radial_data(self, metric, gfun):
         # a radial metric with radial g has theta-independent couplings, so
-        # the theta-averaged operator is A and the preconditioner inverts it
-        grid = pde.PolarGrid(surface.from_name(metric, r_max=1.0001), 16, 24, 1.0)
-        g = pde.field_from_function(grid, gfun)
-        A, _ = pde.assemble_system(grid, g, pde.constant_field(grid, 0.0), np.zeros(24))
-        x = np.random.default_rng(3).normal(size=A.shape[0])
-        got = pde.mode_preconditioner(grid, g).matvec(A @ x)
-        assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
+        # the theta-averaged operator is A and the preconditioner inverts it;
+        # an odd n_theta has no Nyquist mode
+        for n_r, n_theta in ((16, 24), (17, 9)):
+            grid = pde.PolarGrid(surface.from_name(metric, r_max=1.0001), n_r, n_theta, 1.0)
+            g = pde.field_from_function(grid, gfun)
+            A, _ = pde.assemble_system(grid, g, pde.constant_field(grid, 0.0), np.zeros(n_theta))
+            x = np.random.default_rng(3).normal(size=A.shape[0])
+            got = pde.mode_preconditioner(grid, g).matvec(A @ x)
+            assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
 
     def test_matches_direct_solve(self):
         # a source and a sink in g on opposite sides of the pole, as in the
@@ -228,6 +241,19 @@ class TestModePreconditioner:
                 assert np.all(np.isfinite(u.values)) and np.isfinite(u.pole)
                 assert rep.converged == (rep.residual_norm <= 1e-10)
 
+    def test_zero_pivot_is_one_line_error(self, monkeypatch):
+        # an exactly singular theta-averaged operator (dgttrf info > 0) ends
+        # the solve with a one-line ValueError before any division by zero
+        factor = pde.dgttrf
+        monkeypatch.setattr(pde, "dgttrf", lambda *args: (*factor(*args)[:-1], 3))
+        grid = flat_grid(16, 24)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="singular") as exc:
+                pde.solve_dirichlet(grid, pde.constant_field(grid, -1.0),
+                                    pde.constant_field(grid, -4.0), 0.0)
+        assert "\n" not in str(exc.value)
+
     def test_near_resonance_not_converged(self):
         # g = -5.783185 is past the discrete first Dirichlet eigenvalue
         # (5.78239 at 64x96): the solve must not claim a residual it missed
@@ -239,7 +265,53 @@ class TestModePreconditioner:
         assert not rep.converged
 
 
+def _coo_assemble(grid, g, f, boundary):
+    """The COO construction that CSR assembly must reproduce bitwise: each
+    off-diagonal coupling once as (lo, hi, value), mirrored, then converted."""
+    geo = pde.geometry(grid)
+    a, b, w, pv = geo.a, geo.b, geo.weights, geo.pole_volume
+    n_t = grid.n_theta
+    N = 1 + (grid.n_r - 1) * n_t
+    ids = np.arange(1, N, dtype=np.int32).reshape(grid.n_r - 1, n_t)
+    gw = 0.0 if g is None else g.values[:-1] * w[:-1]
+    gp = 0.0 if g is None else g.pole
+    diag = np.concatenate([[a[0].sum() + gp * pv],
+                           (a[:-1] + a[1:] + b[:-1] + np.roll(b[:-1], 1, axis=1) + gw).ravel()])
+    lo = np.concatenate([np.zeros(n_t, np.int32), ids[:-1].ravel(), ids.ravel()])
+    hi = np.concatenate([ids[0], ids[1:].ravel(), np.roll(ids, -1, axis=1).ravel()])
+    off = -np.concatenate([a[0], a[1:-1].ravel(), b[:-1].ravel()])
+    dia = np.arange(N, dtype=np.int32)
+    A = sparse.csr_matrix((np.concatenate([diag, off, off]),
+                           (np.concatenate([dia, lo, hi]), np.concatenate([dia, hi, lo]))),
+                          shape=(N, N))
+    rhs = np.empty(N)
+    rhs[0] = -f.pole * pv
+    rhs[1:] = (-f.values[:-1] * w[:-1]).ravel()
+    rhs[-n_t:] += a[-1] * boundary
+    return A, rhs
+
+
 class TestAssembly:
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 24), (17, 9), (64, 96)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("with_g", [False, True], ids=["g=None", "g=field"])
+    @pytest.mark.parametrize("metric", ["flat", "sphere", "hyperbolic", "perturbed:0.05"])
+    def test_csr_bitwise_coo(self, metric, with_g, shape):
+        n_r, n_theta = shape
+        grid = pde.PolarGrid(surface.from_name(metric, r_max=1.0001), n_r, n_theta, 1.0)
+        rng = np.random.default_rng(n_r * n_theta)
+        f = pde.DiscreteField(grid, rng.normal(size=shape), 0.3)
+        g = pde.DiscreteField(grid, rng.normal(size=shape), -0.7) if with_g else None
+        boundary = rng.normal(size=n_theta)
+        want, want_rhs = _coo_assemble(grid, g, f, boundary)
+        got, got_rhs = pde.assemble_system(grid, g, f, boundary)
+        assert got.indptr.dtype == got.indices.dtype == want.indices.dtype == np.int32
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(got_rhs, want_rhs)
+        assert got.has_sorted_indices and want.has_sorted_indices
+
     def test_rows_match_operator(self):
         # A x - rhs is the measure-scaled residual w (-Lap u + g u + f) of the
         # stencil apply, row by row, with the boundary ring set to the data

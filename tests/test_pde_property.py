@@ -64,6 +64,20 @@ def test_indefinite_solution_linear_in_data(metric, n_r, n_theta, seed):
     assert abs(u12.pole - u1.pole - u2.pole) <= 1e-8
 
 
+def _assert_theta_symmetry(grid, g, f, b, perm, solver):
+    """Moving g, f and the boundary data to theta-index perm[j] at j moves u
+    alike, to 1e-9 of sup|u|, on the named Krylov path."""
+    def move(fld):
+        return pde.DiscreteField(grid, fld.values[:, perm], fld.pole)
+
+    u, rep = pde.solve_dirichlet(grid, g, f, b, tol=1e-12)
+    v, _ = pde.solve_dirichlet(grid, move(g), move(f), b[perm], tol=1e-12)
+    assert rep.solver == solver
+    scale = u.sup_norm()
+    assert np.max(np.abs(v.values - u.values[:, perm])) <= 1e-9 * scale
+    assert abs(v.pole - u.pole) <= 1e-9 * scale
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(["sphere", "hyperbolic"]), _sides, _sides, _seeds,
        st.integers(1, 23))
@@ -72,16 +86,34 @@ def test_indefinite_solution_rotates_with_data(metric, n_r, n_theta, seed, shift
     grid = _grid(metric, n_r, n_theta)
     rng = np.random.default_rng(seed)
     g, f = _indefinite_g(grid, rng), _field(grid, rng)
-    b = rng.uniform(-1, 1, n_theta)
+    _assert_theta_symmetry(grid, g, f, rng.uniform(-1, 1, n_theta),
+                           (np.arange(n_theta) - shift) % n_theta, "bicgstab")
 
-    def roll(fld):
-        return pde.DiscreteField(grid, np.roll(fld.values, shift, axis=1), fld.pole)
 
-    u, _ = pde.solve_dirichlet(grid, g, f, b, tol=1e-12)
-    v, _ = pde.solve_dirichlet(grid, roll(g), roll(f), np.roll(b, shift), tol=1e-12)
-    scale = u.sup_norm()
-    assert np.max(np.abs(v.values - np.roll(u.values, shift, axis=1))) <= 1e-9 * scale
-    assert abs(v.pole - u.pole) <= 1e-9 * scale
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["flat", "sphere", "hyperbolic"]), _sides, _sides, _seeds,
+       st.integers(1, 23))
+def test_nonnegative_solution_rotates_with_data(metric, n_r, n_theta, seed, shift):
+    # the same rotation on the CG path (g >= 0)
+    grid = _grid(metric, n_r, n_theta)
+    rng = np.random.default_rng(seed)
+    g, f = _field(grid, rng, scale=2.0, shift=2.0), _field(grid, rng)
+    _assert_theta_symmetry(grid, g, f, rng.uniform(-1, 1, n_theta),
+                           (np.arange(n_theta) - shift) % n_theta, "cg")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["flat", "sphere", "hyperbolic", "perturbed:0.05"]), _sides, _sides,
+       _seeds, st.booleans())
+def test_solution_reflects_with_data(metric, n_r, n_theta, seed, indefinite):
+    # theta -> -theta maps node j to node -j and face j + 1/2 to face -j - 1/2;
+    # it is a symmetry of the radial metrics and of Perturbed, whose G is even
+    # in theta (its face couplings agree to rounding), on both Krylov paths
+    grid = _grid(metric, n_r, n_theta)
+    rng = np.random.default_rng(seed)
+    g = _indefinite_g(grid, rng) if indefinite else _field(grid, rng, scale=2.0, shift=2.0)
+    _assert_theta_symmetry(grid, g, _field(grid, rng), rng.uniform(-1, 1, n_theta),
+                           -np.arange(n_theta) % n_theta, "bicgstab" if indefinite else "cg")
 
 
 _bumps = st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(2.0, 8.0), st.floats(-0.6, 0.6),
