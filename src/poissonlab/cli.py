@@ -21,6 +21,12 @@ class InputError(Exception):
     pass
 
 
+# fixed verdict inputs; the last two are the bounds acceptance criteria 7 and 4 pin
+GEOMETRY_RADII = (0.125, 0.25, 0.5, 0.75, 1.0)
+HARNACK_SPREAD = 3.0  # each spike ratio stays below this multiple of the median
+ORDER_RANGE = (1.7, 2.3)  # the measured order of the second-order scheme
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one line and exit 1: argparse's exit 2 means a failed verdict
         raise InputError(f"{self.prog}: {message}")
@@ -95,8 +101,7 @@ def _finish(verdicts, args, series=None) -> int:
 
 def cmd_verify_geometry(args) -> int:
     metric = surface.from_name(args.metric)
-    radii = np.asarray([float(s) for s in args.radii.split(",")])
-    verdicts = surface.geometry_bounds_verdicts(metric, args.A, args.p, radii,
+    verdicts = surface.geometry_bounds_verdicts(metric, args.A, args.p, GEOMETRY_RADII,
                                                 n_r=args.n_r, n_theta=args.n_theta)
     return _finish(verdicts, args)
 
@@ -167,7 +172,7 @@ def cmd_harnack(args) -> int:
     ks = [int(s) for s in args.ks.split(",")]
     ratios = estimates.harnack_spike_corpus(ks, n_r=args.n_r, n_theta=args.n_theta)
     med = float(np.median(ratios))
-    verdicts = [VerdictReport(f"harnack_spike_k{k}", r, med * args.spread, 0.0)
+    verdicts = [VerdictReport(f"harnack_spike_k{k}", r, med * HARNACK_SPREAD, 0.0)
                 for k, r in zip(ks, ratios)]
     print(f"spike ratios: {np.array2string(ratios, precision=4)} median={med:.4g}",
           file=sys.stderr)
@@ -187,8 +192,7 @@ def cmd_global(args) -> int:
     for i in range(args.cases):
         spec = {"kind": "random_bumps", "count": 2, "amp": (0.5, 3.0), "k": (2, 8),
                 "center_r_max": 0.6, "sign": "any", "seed": args.seed * 9973 + i}
-        vs, _ = estimates.global_energy_checks(spec, A=A, margin=args.headroom,
-                                               n_r=args.n_r, n_theta=args.n_theta)
+        vs, _ = estimates.global_energy_checks(spec, A=A, n_r=args.n_r, n_theta=args.n_theta)
         verdicts.extend(VerdictReport(v.name, v.lhs, v.rhs, v.tol, f"energy-{i}") for v in vs)
     return _finish(verdicts, args)
 
@@ -228,10 +232,9 @@ def cmd_convergence(args) -> int:
     verdicts = []
     series = None
     for kind in args.metrics.split(","):
-        errors, order = estimates.manufactured_convergence(
-            kind, resolutions, n_theta=args.n_theta if args.n_theta > 0 else None)
-        verdicts.append(VerdictReport(f"convergence_order_{kind}", args.order_min, order, 0.0))
-        verdicts.append(VerdictReport(f"convergence_order_{kind}_upper", order, args.order_max, 0.0))
+        errors, order = estimates.manufactured_convergence(kind, resolutions)
+        verdicts.append(VerdictReport(f"convergence_order_{kind}", ORDER_RANGE[0], order, 0.0))
+        verdicts.append(VerdictReport(f"convergence_order_{kind}_upper", order, ORDER_RANGE[1], 0.0))
         print(f"{kind}: errors {['%.3e' % e for e in errors]} order={order:.3f}",
               file=sys.stderr)
         series = (np.log(resolutions).tolist(), np.log(errors).tolist(),
@@ -272,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--metric", default="flat")
     sp.add_argument("--A", type=float, required=True)
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--radii", default="0.125,0.25,0.5,0.75,1.0")
     sp.add_argument("--n-r", type=int, default=512)
     sp.add_argument("--n-theta", type=int, default=256)
     common(sp)
@@ -303,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ks", default="8,16,32,64")
     sp.add_argument("--n-r", type=int, default=48)
     sp.add_argument("--n-theta", type=int, default=64)
-    sp.add_argument("--spread", type=float, default=3.0,
-                    help="each ratio must stay below spread x median")
     common(sp)
     sp.set_defaults(func=cmd_harnack)
 
@@ -312,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cases", type=int, default=5)
     sp.add_argument("--n-r", type=int, default=48)
     sp.add_argument("--n-theta", type=int, default=64)
-    sp.add_argument("--headroom", type=float, default=0.2)
     sp.add_argument("--ladder", action="store_true")
     common(sp, seed=True)
     sp.set_defaults(func=cmd_global)
@@ -327,10 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("convergence", help="manufactured-solution order study")
     sp.add_argument("--metrics", default="flat,sphere")
     sp.add_argument("--resolutions", default="32,64,128")
-    sp.add_argument("--n-theta", type=int, default=0,
-                    help="fixed angular resolution; 0 scales it with n_r")
-    sp.add_argument("--order-min", type=float, default=1.7)
-    sp.add_argument("--order-max", type=float, default=2.3)
     common(sp)
     sp.set_defaults(func=cmd_convergence)
 

@@ -64,12 +64,12 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def write_svg(path, x, y, xlabel="x", ylabel="y", title="", width=640, height=420) -> None:
+def write_svg(path, x, y, xlabel="x", ylabel="y", title="") -> None:
     """Plot one series as a polyline with a marker on each point, in a
-    standalone SVG file."""
+    standalone 640x420 SVG file."""
     if len(x) != len(y) or len(x) < 1:
         raise ValueError("need at least one point, and as many x as y values")
-    pad = 60
+    width, height, pad = 640, 420, 60
     x0, x1 = min(x), max(x)
     y0, y1 = min(y), max(y)
     if x1 == x0:

@@ -77,8 +77,8 @@ class Perturbed(MetricProfile):
     eps: float
     r_max: float = 1.5
 
-    def __post_init__(self):
-        if self.eps * self.r_max**2 >= 1.0:
+    def __post_init__(self):  # G vanishes at r = 1/sqrt(|eps|) for either sign of eps
+        if not abs(self.eps) * self.r_max**2 < 1.0:
             raise ValueError("perturbation degenerates the metric before r_max")
 
     @property
@@ -130,7 +130,7 @@ def from_name(name: str, r_max: float | None = None) -> MetricProfile:
 def boundary_length(metric: MetricProfile, r, n_theta: int = 256):
     """l(dB_r) = int_0^2pi G(r, .) dtheta by the periodic trapezoid rule."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0) or np.any(r > metric.r_max * (1 + 1e-12)):
+    if not np.all((0 < r) & (r <= metric.r_max * (1 + 1e-12))):
         raise ValueError("radius out of range")
     th = 2 * np.pi * np.arange(n_theta) / n_theta
     vals = metric.G(r[..., None], th)
@@ -139,7 +139,7 @@ def boundary_length(metric: MetricProfile, r, n_theta: int = 256):
 
 def ball_volume(metric: MetricProfile, r: float, n_r: int = 512, n_theta: int = 256) -> float:
     """V(B_r) = int_0^r l(dB_t) dt by composite Simpson (l(0) = 0)."""
-    if r <= 0 or r > metric.r_max * (1 + 1e-12):
+    if not 0 < r <= metric.r_max * (1 + 1e-12):
         raise ValueError("radius out of range")
     n = n_r + (n_r % 2)  # Simpson needs an even interval count
     t = np.linspace(0.0, r, n + 1)
@@ -156,8 +156,8 @@ def ball_volume(metric: MetricProfile, r: float, n_r: int = 512, n_theta: int = 
 def gauss_curvature(metric: MetricProfile, r, theta):
     """K = -d2G/dr2 / G; undefined at the pole."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("curvature at pole requires limit")
+    if not np.all(r > 0):
+        raise ValueError("curvature needs r > 0; at the pole it requires a limit")
     g = metric.G(r, theta)
     if np.any(np.asarray(g) <= 0):
         raise ValueError("degenerate metric")
@@ -199,9 +199,11 @@ def isoperimetric_constant(metric: MetricProfile, radii, p: float = 2.0,
 
 
 def geometry_bounds_verdicts(metric: MetricProfile, A: float, p: float, radii,
-                             n_r: int = 512, n_theta: int = 256, tol: float = 1e-9):
+                             n_r: int = 512, n_theta: int = 256):
     """The four volume/length bounds (two lower via the isoperimetric constant,
     two upper via the curvature bound), each aggregated over the probed radii."""
+    if not (0 < A < np.inf and 0 < p < np.inf):
+        raise ValueError(f"need finite positive A and p, got A={A:g}, p={p:g}")
     radii = np.asarray(radii, dtype=float)
     est = isoperimetric_constant(metric, radii, p, n_r, n_theta)
     case = ""
@@ -220,18 +222,19 @@ def geometry_bounds_verdicts(metric: MetricProfile, A: float, p: float, radii,
         for key, (lhs, rhs) in checks.items():
             if key not in worst or lhs / rhs > worst[key][0] / worst[key][1]:
                 worst[key] = (lhs, rhs)
-    return [VerdictReport(f"geometry_{k}", lhs, rhs, tol, case) for k, (lhs, rhs) in worst.items()]
+    return [VerdictReport(f"geometry_{k}", lhs, rhs, 1e-9, case) for k, (lhs, rhs) in worst.items()]
 
 
-def geometry_bounds_check(metric: MetricProfile, A: float, p: float, radii,
-                          n_r: int = 512, n_theta: int = 256, tol: float = 1e-9) -> VerdictReport:
+def geometry_bounds_check(metric: MetricProfile, A: float, p: float, radii) -> VerdictReport:
     """Worst-slack verdict over all four bounds and all probed radii."""
-    verdicts = geometry_bounds_verdicts(metric, A, p, radii, n_r, n_theta, tol)
-    return max(verdicts, key=lambda v: v.ratio)
+    return max(geometry_bounds_verdicts(metric, A, p, radii), key=lambda v: v.ratio)
 
 
-def kernel_weight(metric: MetricProfile, R: float, d: float, n: int = 512,
-                  n_theta: int = 256) -> float:
+# the radial knot segments of the kernel weight's quadrature
+_H_SEGMENTS = 512
+
+
+def kernel_weight(metric: MetricProfile, R: float, d: float) -> float:
     """h = int_d^R dr / l(dB_r); flat metric gives ln(R/d) / 2pi."""
     if not (0 <= d <= R <= metric.r_max * (1 + 1e-12)):
         raise ValueError("need 0 <= d <= R <= r_max")
@@ -239,19 +242,18 @@ def kernel_weight(metric: MetricProfile, R: float, d: float, n: int = 512,
         return 0.0
     if d == 0.0:
         warnings.warn("singular endpoint: inner cutoff at first grid node")
-        d = R / (2 * n)
-    return float(kernel_weight_profile(metric, R, d, n, n_theta))
+        d = R / (2 * _H_SEGMENTS)
+    return float(kernel_weight_profile(metric, R, d))
 
 
-def kernel_weight_profile(metric: MetricProfile, R: float, r_eval, n: int = 512,
-                          n_theta: int = 256) -> np.ndarray:
+def kernel_weight_profile(metric: MetricProfile, R: float, r_eval) -> np.ndarray:
     """h evaluated at many radii at once via a reverse cumulative integral on
-    a knot grid refined to at least n segments."""
+    a knot grid refined to at least _H_SEGMENTS segments."""
     r_eval = np.asarray(r_eval, dtype=float)
     rs = np.unique(r_eval)
-    if rs[0] <= 0 or rs[-1] > R * (1 + 1e-12):
+    if not (0 < rs[0] and rs[-1] <= R * (1 + 1e-12)):  # NaN sorts last
         raise ValueError("evaluation radii must lie in (0, R]")
-    knots = np.union1d(rs, np.linspace(rs[0], R, n + 1))
+    knots = np.union1d(rs, np.linspace(rs[0], R, _H_SEGMENTS + 1))
     if knots[-1] < R:
         knots = np.append(knots, R)
     # per-segment Gauss-5 integrals of 1/l between consecutive knots
@@ -259,7 +261,7 @@ def kernel_weight_profile(metric: MetricProfile, R: float, r_eval, n: int = 512,
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _GAUSS5_X  # (nseg, 5)
-    ell = np.atleast_2d(boundary_length(metric, nodes.ravel(), n_theta)).reshape(nodes.shape)
+    ell = np.atleast_2d(boundary_length(metric, nodes.ravel())).reshape(nodes.shape)
     seg = np.sum(_GAUSS5_W / ell, axis=1) * half
     h_at = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
     return np.interp(r_eval, knots, h_at)
@@ -286,26 +288,25 @@ def sample_ball(metric: MetricProfile, R: float, func=None, n_r: int = 512,
     return WeightedSamples(vals.ravel(), meas.ravel(), pos)
 
 
-def kernel_pairing_check(metric: MetricProfile, f: WeightedSamples, R: float, A: float,
-                         tol: float = 1e-6, n_theta: int = 256) -> VerdictReport:
+def kernel_pairing_check(metric: MetricProfile, f: WeightedSamples, R: float,
+                         A: float) -> VerdictReport:
     """int |f| h dV against A * ||f||*_{L ln L(B_R)}; equality for constant f
     on the flat metric with A = 1/(4 pi)."""
     if f.positions is None:
         raise ValueError("samples carry no positions")
     dist = np.hypot(f.positions[:, 0], f.positions[:, 1])
-    h = kernel_weight_profile(metric, R, dist, n_theta=n_theta)
+    h = kernel_weight_profile(metric, R, dist)
     lhs = float(np.sum(np.abs(f.values) * h * f.measures))
     rhs = A * zygmund_norm(f, f.total_measure)
-    return VerdictReport("kernel_pairing", lhs, rhs, tol)
+    return VerdictReport("kernel_pairing", lhs, rhs, 1e-6)
 
 
-def kernel_rearrangement_bound(metric: MetricProfile, R: float, A: float,
-                               n_r: int = 512, n_theta: int = 256) -> VerdictReport:
+def kernel_rearrangement_bound(metric: MetricProfile, R: float, A: float) -> VerdictReport:
     """h*(t) <= A ln(V(B_R)/t), checked at the left endpoint of each step of
     the discrete rearrangement (where each step attains its sup)."""
-    samples = sample_ball(metric, R, None, n_r, n_theta)
+    samples = sample_ball(metric, R)
     dist = np.hypot(samples.positions[:, 0], samples.positions[:, 1])
-    h = kernel_weight_profile(metric, R, dist, n_theta=n_theta)
+    h = kernel_weight_profile(metric, R, dist)
     hw = WeightedSamples(h, samples.measures, samples.positions)
     prof = rearrange(hw)
     V = samples.total_measure
@@ -323,13 +324,12 @@ def kernel_rearrangement_bound(metric: MetricProfile, R: float, A: float,
                          float(bound[worst]), 5e-2)
 
 
-def flux_variation(metric: MetricProfile, rho: float, n_r: int = 512,
-                   n_theta: int = 256) -> float:
+def flux_variation(metric: MetricProfile, rho: float) -> float:
     """int_0^rho int_0^2pi |d/dr (G / l)| dtheta dr; zero for rotationally
     symmetric metrics."""
-    if rho <= 0 or rho > metric.r_max * (1 + 1e-12):
+    if not 0 < rho <= metric.r_max * (1 + 1e-12):
         raise ValueError("radius out of range")
-    Rg, Tg, dr, dth = _midpoint_mesh(rho, n_r, n_theta)
+    Rg, Tg, dr, dth = _midpoint_mesh(rho, 512, 256)
     g = metric.G(Rg, Tg)
     dg = metric.dG(Rg, Tg)
     ell = g.sum(axis=1) * dth
@@ -338,16 +338,13 @@ def flux_variation(metric: MetricProfile, rho: float, n_r: int = 512,
     return float(np.sum(np.abs(deriv)) * dr * dth)
 
 
-def flux_exponent_fit(metric: MetricProfile, p: float, rhos=None, n_r: int = 512,
-                      n_theta: int = 256) -> FluxExponentFit:
+def flux_exponent_fit(metric: MetricProfile, p: float) -> FluxExponentFit:
     """Fit flux_variation(rho) ~ rho^alpha over a dyadic ladder; the bound
     predicts alpha >= 2 - 2/p."""
-    if rhos is None:
-        rhos = np.array([1 / 8, 1 / 4, 3 / 8, 1 / 2])
-    rhos = np.asarray(rhos, dtype=float)
+    rhos = np.array([1 / 8, 1 / 4, 3 / 8, 1 / 2])
     if np.any(rhos > metric.r_max):
         raise ValueError("r_max too small for the ladder")
-    values = np.array([flux_variation(metric, r, n_r, n_theta) for r in rhos])
+    values = np.array([flux_variation(metric, r) for r in rhos])
     target = 2.0 - 2.0 / p
     if np.any(values <= 0):
         return FluxExponentFit(rhos, values, None, target)

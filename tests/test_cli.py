@@ -153,8 +153,17 @@ class TestExitCodes:
         ["interior", "--cases", "1", "--solver-tol", "0"],
         ["interior", "--cases", "1", "--solver-tol", "-1"],
         ["interior", "--cases", "1", "--solver-tol", "nan"],
+        ["verify-geometry", "--A", "-1"],
+        ["verify-geometry", "--A", "inf"],
+        ["verify-geometry", "--A", "0"],
+        ["verify-geometry", "--A", "1", "--p", "-1"],
+        ["verify-geometry", "--A", "1", "--p", "0"],
+        ["verify-geometry", "--metric", "perturbed:-0.5", "--A", "1"],
+        ["verify-geometry", "--metric", "perturbed:nan", "--A", "1"],
     ], ids=["n-r-0", "n-theta-0", "no-cases", "k-0", "k-negative", "unknown-option",
-            "bad-type", "no-command", "solver-tol-0", "solver-tol-negative", "solver-tol-nan"])
+            "bad-type", "no-command", "solver-tol-0", "solver-tol-negative", "solver-tol-nan",
+            "A-negative", "A-inf", "A-0", "p-negative", "p-0", "eps-negative", "eps-nan"])
+    @pytest.mark.filterwarnings("error")
     def test_bad_argument_one_line(self, capsys, argv):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -240,6 +249,25 @@ class TestExitCodes:
         seeded = {name for name, sp in sub.choices.items()
                   if any("--seed" in a.option_strings for a in sp._actions)}
         assert seeded == {"interior", "global", "verify-norms"}
+
+    def test_option_sets_are_pinned(self):
+        # every option is a value some caller sets; a new one is added here on purpose
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {name: {o for a in sp._actions for o in a.option_strings if o.startswith("--")}
+                   - {"--help"} for name, sp in sub.choices.items()}
+        out = {"--out", "--format"}
+        assert options == {
+            "verify-geometry": {"--metric", "--A", "--p", "--n-r", "--n-theta", *out},
+            "verify-norms": {"--input", "--domain-measure", "--seed", *out},
+            "solve": {"--case", "--out", "--solver-tol"},
+            "interior": {"--cases", "--n-r", "--n-theta", "--solver-tol", "--seed", *out},
+            "harnack": {"--ks", "--n-r", "--n-theta", *out},
+            "global": {"--cases", "--n-r", "--n-theta", "--ladder", "--seed", *out},
+            "counterexample": {"--kmin", "--kmax", "--n-local", *out},
+            "convergence": {"--metrics", "--resolutions", *out},
+            "report": {"--input", *out},
+        }
+        assert sum(map(len, options.values())) == 46
 
     def test_report_passthrough(self, tmp_path, capsys):
         path = tmp_path / "v.json"
@@ -363,6 +391,21 @@ class TestSubcommands:
         assert main(["counterexample", "--kmin", "16", "--kmax", "64",
                      "--n-local", "96", "--format", "svg", "--out", str(out)]) == 0
         assert out.read_text().startswith("<svg")
+
+    def test_verdict_bounds_match_acceptance_gate(self, tmp_path, capsys):
+        # criterion 7: each spike ratio below 3 x the median; criterion 4: order in [1.7, 2.3]
+        out = tmp_path / "harnack.json"
+        assert main(["harnack", "--ks", "8,16,32", "--n-r", "24", "--n-theta", "32",
+                     "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        med = float(np.median([r["lhs"] for r in rows]))
+        assert [r["rhs"] for r in rows] == [3.0 * med] * 3
+        out = tmp_path / "convergence.json"
+        assert main(["convergence", "--metrics", "flat", "--resolutions", "16,32,64",
+                     "--out", str(out)]) == 0
+        lower, upper = json.loads(out.read_text())
+        assert (lower["name"], lower["lhs"]) == ("convergence_order_flat", 1.7)
+        assert (upper["name"], upper["rhs"]) == ("convergence_order_flat_upper", 2.3)
 
     def test_harnack_small(self, capsys):
         assert main(["harnack", "--ks", "8,16", "--n-r", "24",

@@ -140,6 +140,8 @@ class TestMoser:
             estimates.moser_resolve(1.0, 1.0, 0.7)
         with pytest.raises(ValueError, match="nonnegative"):
             estimates.moser_resolve(-1.0, 1.0, 0.25)
+        with pytest.raises(ValueError, match="nonnegative"):
+            estimates.moser_resolve(float("nan"), 1.0, 0.25)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(12)
@@ -333,6 +335,8 @@ class TestMeanValue:
         sol = estimates.solve_case(case)
         with pytest.raises(ValueError, match="rho"):
             estimates.mean_value_deviation(sol, 2.0, C=1.0)
+        with pytest.raises(ValueError, match="rho"):
+            estimates.mean_value_deviation(sol, float("nan"), C=1.0)
 
 
 class TestHarnack:

@@ -32,6 +32,8 @@ class TestPolarGrid:
     def test_r_max_out_of_range(self):
         with pytest.raises(ValueError, match="out of metric range"):
             pde.PolarGrid(surface.flat(r_max=1.0), 16, 16, 2.0)
+        with pytest.raises(ValueError, match="out of metric range"):
+            pde.PolarGrid(surface.flat(), 16, 16, float("nan"))
 
 
 class TestOperator:

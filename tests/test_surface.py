@@ -20,6 +20,11 @@ class TestMetrics:
     def test_perturbed_degenerate(self):
         with pytest.raises(ValueError, match="degenerates"):
             surface.perturbed(0.5, r_max=2.0)
+        # G = r (1 + eps r^2 cos theta) vanishes at r = 1/sqrt(|eps|) for either sign
+        with pytest.raises(ValueError, match="degenerates"):
+            surface.perturbed(-0.5)
+        with pytest.raises(ValueError, match="degenerates"):
+            surface.perturbed(float("nan"))
 
 
 class TestLengthVolume:
@@ -45,6 +50,9 @@ class TestLengthVolume:
     def test_radius_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             surface.ball_volume(surface.flat(r_max=1.0), 2.0)
+        for check in (surface.ball_volume, surface.boundary_length, surface.flux_variation):
+            with pytest.raises(ValueError, match="out of range"):
+                check(surface.flat(), float("nan"))
 
 
 class TestCurvature:
@@ -62,6 +70,8 @@ class TestCurvature:
     def test_pole_rejected(self):
         with pytest.raises(ValueError, match="pole"):
             surface.gauss_curvature(surface.flat(), 0.0, 0.0)
+        with pytest.raises(ValueError, match="r > 0"):
+            surface.gauss_curvature(surface.flat(), float("nan"), 0.0)
 
     def test_lp_norm_sphere(self):
         # |K| = 1 so ||K||_{L^2(B_1)} = sqrt(V(B_1))
@@ -135,6 +145,11 @@ class TestKernel:
         prof = surface.kernel_weight_profile(m, 1.0, rs)
         for r, h in zip(rs, prof):
             assert h == pytest.approx(surface.kernel_weight(m, 1.0, r), rel=1e-9)
+
+    @pytest.mark.parametrize("r", [0.0, 1.5, float("nan")], ids=["zero", "beyond-R", "nan"])
+    def test_profile_radius_out_of_range(self, r):
+        with pytest.raises(ValueError, match="must lie in"):
+            surface.kernel_weight_profile(surface.flat(), 1.0, [0.5, r])
 
     def test_pairing_sharpness(self):
         # constant f on the flat ball: both sides equal R^2/4
