@@ -32,6 +32,12 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():  # digits only: no sign, point or blank
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -269,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output file (default: stdout/none)")
         sp.add_argument("--format", default="json", choices=["json", "csv", "svg"])
         if seed:  # only the commands that draw random data take a seed
-            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--seed", type=_non_negative_int, default=0)
 
     sp = sub.add_parser("verify-geometry", help="isoperimetric/curvature volume and length bounds")
     sp.add_argument("--metric", default="flat")
@@ -309,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_harnack)
 
     sp = sub.add_parser("global", help="global pipeline and energy checks")
-    sp.add_argument("--cases", type=int, default=5)
+    sp.add_argument("--cases", type=_non_negative_int, default=5)
     sp.add_argument("--n-r", type=int, default=48)
     sp.add_argument("--n-theta", type=int, default=64)
     sp.add_argument("--ladder", action="store_true")

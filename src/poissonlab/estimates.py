@@ -218,8 +218,7 @@ class CaseSolution:
 
 
 def solve_case(case: ExperimentCase, tol: float = 1e-10) -> CaseSolution:
-    metric = surface.from_name(case.metric, r_max=max(case.r_max, 1.0) * 1.0001)
-    grid = pde.PolarGrid(metric, case.n_r, case.n_theta, case.r_max)
+    grid = pde.PolarGrid(surface.from_name(case.metric), case.n_r, case.n_theta, case.r_max)
     f = resolve_field(grid, case.f, case.seed)
     gspec = case.g or {"kind": "zero"}
     g = None if gspec.get("kind") == "zero" else resolve_field(grid, gspec, case.seed + 1)
@@ -300,7 +299,7 @@ def harnack_spike_corpus(ks=(8, 16, 32, 64), n_r: int = 48, n_theta: int = 64):
     point is that the resulting ratios stay bounded in k."""
     if any(k <= 0 for k in ks):
         raise ValueError(f"spike widths k must be positive, got {list(ks)}")
-    grid = pde.PolarGrid(surface.flat(r_max=1.0001), n_r, n_theta, 1.0)
+    grid = pde.PolarGrid(surface.flat(), n_r, n_theta, 1.0)
     ratios = []
     for k in ks:
         case = ExperimentCase(
@@ -370,7 +369,7 @@ class BmoDualityResult:
 
 def log_kernel_samples(rho: float) -> WeightedSamples:
     """ln(rho/|x|) chi_{B_rho} sampled on a flat polar grid over B_{2 rho}."""
-    base = surface.sample_ball(surface.flat(r_max=4 * rho), 2 * rho, None, 192, 128)
+    base = surface.sample_ball(surface.flat(), 2 * rho, 192, 128)
     d = np.hypot(base.positions[:, 0], base.positions[:, 1])
     vals = np.where(d < rho, np.log(rho / np.maximum(d, 1e-300)), 0.0)
     return WeightedSamples(vals, base.measures, base.positions)
@@ -451,8 +450,7 @@ def random_zero_boundary_field(grid: pde.PolarGrid, seed: int) -> pde.DiscreteFi
 def energy_constant(metric: str = "flat") -> float:
     """The constant A of the energy chain on B_2: the larger of the probed
     isoperimetric constant and the curvature L^2 bound of one estimate."""
-    est = surface.isoperimetric_constant(surface.from_name(metric, r_max=2.0002),
-                                         np.linspace(0.1, 2.0, 8))
+    est = surface.isoperimetric_constant(surface.from_name(metric), np.linspace(0.1, 2.0, 8))
     return max(est.A_iso, est.A_curv)
 
 
@@ -564,10 +562,9 @@ def manufactured_convergence(kind: str = "flat", resolutions=(32, 64, 128)):
     solution with zero boundary data on B_1.  The angular resolution refines
     together with the radial one (n_theta = n_r) so both error contributions
     shrink at the same rate."""
-    r_max = {"flat": 1.0001, "sphere": 1.5}
-    if kind not in r_max:
+    if kind not in ("flat", "sphere"):
         raise ValueError(f"no manufactured case for metric {kind!r}")
-    metric = surface.from_name(kind, r_max[kind])
+    metric = surface.from_name(kind)
     errors = []
     for n_r in resolutions:
         grid = pde.PolarGrid(metric, n_r, n_r, 1.0)

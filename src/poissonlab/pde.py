@@ -42,7 +42,7 @@ class PolarGrid:
     def __post_init__(self):
         if self.n_r < 8 or self.n_theta < 8:
             raise ValueError("need at least 8 nodes per direction")
-        if not 0 < self.r_max <= self.metric.r_max * (1 + 1e-12):
+        if not 0 < self.r_max < self.metric.domain:
             raise ValueError("r_max out of metric range")
 
     @property

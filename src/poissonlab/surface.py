@@ -27,10 +27,10 @@ class MetricProfile:
 
     Metrics are frozen values that compare and hash by their parameters
     (see ``pde.geometry``).  A family defines ``_eval(k, r, t)``, the k-th
-    radial derivative of G."""
+    radial derivative of G, and ``domain``, the first radius where G = 0."""
 
     name: str
-    r_max: float
+    domain: float
 
     def G(self, r, t):
         return self._eval(0, r, t)
@@ -51,22 +51,22 @@ class _Radial(MetricProfile):
 
 @dataclass(frozen=True)
 class Flat(_Radial):
-    r_max: float = 2.0
     name = "flat"
+    domain = np.inf
     p = (np.asarray, np.ones_like, np.zeros_like)
 
 
 @dataclass(frozen=True)
 class Sphere(_Radial):
-    r_max: float = np.pi
     name = "sphere"
+    domain = np.pi
     p = (np.sin, np.cos, lambda r: -np.sin(r))
 
 
 @dataclass(frozen=True)
 class Hyperbolic(_Radial):
-    r_max: float = 3.0
     name = "hyperbolic"
+    domain = np.inf
     p = (np.sinh, np.cosh, np.sinh)
 
 
@@ -75,15 +75,18 @@ class Perturbed(MetricProfile):
     """G = r (1 + eps r^2 cos theta)."""
 
     eps: float
-    r_max: float = 1.5
 
-    def __post_init__(self):  # G vanishes at r = 1/sqrt(|eps|) for either sign of eps
-        if not abs(self.eps) * self.r_max**2 < 1.0:
-            raise ValueError("perturbation degenerates the metric before r_max")
+    def __post_init__(self):
+        if not np.isfinite(self.eps):
+            raise ValueError(f"perturbation eps={self.eps} degenerates the metric")
 
     @property
     def name(self) -> str:
         return f"perturbed:{self.eps:g}"
+
+    @property
+    def domain(self) -> float:  # G vanishes at r = 1/sqrt(|eps|) for either sign of eps
+        return 1.0 / abs(self.eps) ** 0.5 if self.eps else np.inf
 
     def _eval(self, k, r, t):
         r = np.asarray(r, float)
@@ -115,22 +118,20 @@ class FluxExponentFit:
 flat, sphere, hyperbolic, perturbed = Flat, Sphere, Hyperbolic, Perturbed
 
 
-def from_name(name: str, r_max: float | None = None) -> MetricProfile:
+def from_name(name: str) -> MetricProfile:
     """Parse a metric spec string: flat | sphere | hyperbolic | perturbed:eps."""
-    kwargs = {} if r_max is None else {"r_max": r_max}
     families = {"flat": Flat, "sphere": Sphere, "hyperbolic": Hyperbolic}
     if name in families:
-        return families[name](**kwargs)
+        return families[name]()
     if name.startswith("perturbed"):
-        eps = float(name.split(":", 1)[1]) if ":" in name else 0.1
-        return Perturbed(eps, **kwargs)
+        return Perturbed(float(name.split(":", 1)[1]) if ":" in name else 0.1)
     raise ValueError(f"unknown metric {name!r}")
 
 
 def boundary_length(metric: MetricProfile, r, n_theta: int = 256):
     """l(dB_r) = int_0^2pi G(r, .) dtheta by the periodic trapezoid rule."""
     r = np.asarray(r, dtype=float)
-    if not np.all((0 < r) & (r <= metric.r_max * (1 + 1e-12))):
+    if not np.all((0 < r) & (r < metric.domain)):
         raise ValueError("radius out of range")
     th = 2 * np.pi * np.arange(n_theta) / n_theta
     vals = metric.G(r[..., None], th)
@@ -139,7 +140,7 @@ def boundary_length(metric: MetricProfile, r, n_theta: int = 256):
 
 def ball_volume(metric: MetricProfile, r: float, n_r: int = 512, n_theta: int = 256) -> float:
     """V(B_r) = int_0^r l(dB_t) dt by composite Simpson (l(0) = 0)."""
-    if not 0 < r <= metric.r_max * (1 + 1e-12):
+    if not 0 < r < metric.domain:
         raise ValueError("radius out of range")
     n = n_r + (n_r % 2)  # Simpson needs an even interval count
     t = np.linspace(0.0, r, n + 1)
@@ -171,13 +172,10 @@ def _midpoint_mesh(radius: float, n_r: int, n_theta: int):
     return R, T, dr, dth
 
 
-def curvature_lp_norm(metric: MetricProfile, p: float, radius: float | None = None,
-                      n_r: int = 256, n_theta: int = 256) -> float:
-    """||K||_{L^p(B_radius)} by midpoint quadrature; radius defaults to
-    min(1, r_max)."""
-    if radius is None:
-        radius = min(1.0, metric.r_max)
-    R, T, dr, dth = _midpoint_mesh(radius, n_r, n_theta)
+def curvature_lp_norm(metric: MetricProfile, p: float, n_r: int = 256,
+                      n_theta: int = 256) -> float:
+    """||K||_{L^p(B_radius)} by midpoint quadrature, radius = min(1, domain)."""
+    R, T, dr, dth = _midpoint_mesh(min(1.0, metric.domain), n_r, n_theta)
     g = metric.G(R, T)
     k = -metric.d2G(R, T) / np.maximum(g, 1e-300)
     return float(np.sum(np.abs(k) ** p * g * dr * dth) ** (1.0 / p))
@@ -195,7 +193,7 @@ def isoperimetric_constant(metric: MetricProfile, radii, p: float = 2.0,
     vols = tuple(ball_volume(metric, r, n_r, n_theta) for r in radii)
     ells = tuple(float(boundary_length(metric, r, n_theta)) for r in radii)
     return IsoperimetricEstimate(max(v / ell**2 for v, ell in zip(vols, ells)),
-                                 curvature_lp_norm(metric, p, None, n_r, n_theta), p, vols, ells)
+                                 curvature_lp_norm(metric, p, n_r, n_theta), p, vols, ells)
 
 
 def geometry_bounds_verdicts(metric: MetricProfile, A: float, p: float, radii,
@@ -236,8 +234,8 @@ _H_SEGMENTS = 512
 
 def kernel_weight(metric: MetricProfile, R: float, d: float) -> float:
     """h = int_d^R dr / l(dB_r); flat metric gives ln(R/d) / 2pi."""
-    if not (0 <= d <= R <= metric.r_max * (1 + 1e-12)):
-        raise ValueError("need 0 <= d <= R <= r_max")
+    if not (0 <= d <= R < metric.domain):
+        raise ValueError("need 0 <= d <= R < domain")
     if d == R:
         return 0.0
     if d == 0.0:
@@ -270,11 +268,11 @@ def kernel_weight_profile(metric: MetricProfile, R: float, r_eval) -> np.ndarray
 _GAUSS2_X, _GAUSS2_W = np.polynomial.legendre.leggauss(2)
 
 
-def sample_ball(metric: MetricProfile, R: float, func=None, n_r: int = 512,
+def sample_ball(metric: MetricProfile, R: float, n_r: int = 512,
                 n_theta: int = 256) -> WeightedSamples:
-    """Cell samples of func(r, theta) on the geodesic ball B_R with planar
-    chart positions; each radial cell carries two Gauss-Legendre nodes so that
-    radially singular kernels integrate to high accuracy."""
+    """Unit samples on the geodesic ball B_R with planar chart positions; each
+    radial cell carries two Gauss-Legendre nodes so that radially singular
+    kernels integrate to high accuracy."""
     dr = R / n_r
     dth = 2 * np.pi / n_theta
     mid = (np.arange(n_r) + 0.5) * dr
@@ -283,9 +281,8 @@ def sample_ball(metric: MetricProfile, R: float, func=None, n_r: int = 512,
     tc = (np.arange(n_theta) + 0.5) * dth
     Rg, Tg = np.meshgrid(rc, tc, indexing="ij")
     meas = metric.G(Rg, Tg) * rw[:, None] * dth
-    vals = np.ones_like(Rg) if func is None else np.asarray(func(Rg, Tg), dtype=float)
     pos = np.stack([(Rg * np.cos(Tg)).ravel(), (Rg * np.sin(Tg)).ravel()], axis=-1)
-    return WeightedSamples(vals.ravel(), meas.ravel(), pos)
+    return WeightedSamples(np.ones(Rg.size), meas.ravel(), pos)
 
 
 def kernel_pairing_check(metric: MetricProfile, f: WeightedSamples, R: float,
@@ -327,7 +324,7 @@ def kernel_rearrangement_bound(metric: MetricProfile, R: float, A: float) -> Ver
 def flux_variation(metric: MetricProfile, rho: float) -> float:
     """int_0^rho int_0^2pi |d/dr (G / l)| dtheta dr; zero for rotationally
     symmetric metrics."""
-    if not 0 < rho <= metric.r_max * (1 + 1e-12):
+    if not 0 < rho < metric.domain:
         raise ValueError("radius out of range")
     Rg, Tg, dr, dth = _midpoint_mesh(rho, 512, 256)
     g = metric.G(Rg, Tg)
@@ -342,8 +339,8 @@ def flux_exponent_fit(metric: MetricProfile, p: float) -> FluxExponentFit:
     """Fit flux_variation(rho) ~ rho^alpha over a dyadic ladder; the bound
     predicts alpha >= 2 - 2/p."""
     rhos = np.array([1 / 8, 1 / 4, 3 / 8, 1 / 2])
-    if np.any(rhos > metric.r_max):
-        raise ValueError("r_max too small for the ladder")
+    if not rhos[-1] < metric.domain:
+        raise ValueError("domain too small for the ladder")
     values = np.array([flux_variation(metric, r) for r in rhos])
     target = 2.0 - 2.0 / p
     if np.any(values <= 0):

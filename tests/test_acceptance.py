@@ -227,7 +227,7 @@ def test_criterion_8_global():
         if verdicts[0].passed:  # john_nirenberg with constant 2e sqrt(A)
             jn_pass += 1
 
-    grid = pde.PolarGrid(surface.flat(1.001), 48, 48, 1.0)
+    grid = pde.PolarGrid(surface.flat(), 48, 48, 1.0)
     sob_pass = 0
     n_draws = 0
     for seed in range(50):

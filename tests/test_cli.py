@@ -94,7 +94,11 @@ class TestExitCodes:
         '{"n_r": "64"}',
         '[1, 2]',
         '{"n_r": 16, "n_theta": 16, "f": {"kind": "constant", "value": 1e400}}',
-    ], ids=["unknown-key", "string-n_r", "array", "infinite-f"])
+        # the sphere's G = sin r vanishes at pi, so no grid may reach it
+        '{"metric": "sphere", "r_max": 3.3, "n_r": 16, "n_theta": 16}',
+        f'{{"metric": "sphere", "r_max": {math.pi!r}, "n_r": 16, "n_theta": 16}}',
+    ], ids=["unknown-key", "string-n_r", "array", "infinite-f", "sphere-past-antipode",
+            "sphere-antipode"])
     def test_bad_case_one_line(self, tmp_path, capsys, text):
         path = tmp_path / "case.json"
         path.write_text(text)
@@ -158,16 +162,24 @@ class TestExitCodes:
         ["verify-geometry", "--A", "0"],
         ["verify-geometry", "--A", "1", "--p", "-1"],
         ["verify-geometry", "--A", "1", "--p", "0"],
-        ["verify-geometry", "--metric", "perturbed:-0.5", "--A", "1"],
+        ["verify-geometry", "--metric", "perturbed:-2", "--A", "1"],
         ["verify-geometry", "--metric", "perturbed:nan", "--A", "1"],
+        ["interior", "--seed", "-1"],
+        ["verify-norms", "--seed", "-1"],
+        ["global", "--seed", "-1"],
+        ["global", "--cases", "-1"],
     ], ids=["n-r-0", "n-theta-0", "no-cases", "k-0", "k-negative", "unknown-option",
             "bad-type", "no-command", "solver-tol-0", "solver-tol-negative", "solver-tol-nan",
-            "A-negative", "A-inf", "A-0", "p-negative", "p-0", "eps-negative", "eps-nan"])
+            "A-negative", "A-inf", "A-0", "p-negative", "p-0", "eps-negative", "eps-nan",
+            "seed-negative-interior", "seed-negative-norms", "seed-negative-global",
+            "cases-negative-global"])
     @pytest.mark.filterwarnings("error")
     def test_bad_argument_one_line(self, capsys, argv):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        if argv[-2:] in (["--seed", "-1"], ["--cases", "-1"]):  # refused at parse time, by name
+            assert f"argument {argv[-2]}: " in err
 
     @pytest.mark.parametrize("rows", [
         [[1, {}], [2, 3]],
@@ -269,6 +281,12 @@ class TestExitCodes:
         }
         assert sum(map(len, options.values())) == 46
 
+    def test_metric_fields_are_pinned(self):
+        # a metric's domain is where its G vanishes, never a caller-set bound
+        fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+                  for cls in (surface.Flat, surface.Sphere, surface.Hyperbolic, surface.Perturbed)}
+        assert fields == {"Flat": [], "Sphere": [], "Hyperbolic": [], "Perturbed": ["eps"]}
+
     def test_report_passthrough(self, tmp_path, capsys):
         path = tmp_path / "v.json"
         report.write_json([VerdictReport("ok", 1.0, 2.0)], path)
@@ -338,6 +356,15 @@ class TestSubcommands:
         sol = json.loads(out.read_text())
         assert sol["converged"]
         assert sol["pole"] == pytest.approx(1.0, abs=1e-7)
+
+    def test_solve_case_inside_perturbed_domain(self, tmp_path, capsys):
+        # perturbed:2 has G > 0 for r < 1/sqrt(2), so B_0.5 is a valid domain
+        case = {"metric": "perturbed:2", "n_r": 16, "n_theta": 16, "r_max": 0.5,
+                "R_outer": 0.5, "R_inner": 0.25, "f": {"kind": "constant", "value": -4.0}}
+        cpath = tmp_path / "case.json"
+        cpath.write_text(json.dumps(case))
+        assert main(["solve", "--case", str(cpath)]) == 0
+        assert json.loads(capsys.readouterr().out)["converged"]
 
     @pytest.mark.parametrize("g, solver", [(1.0, "cg"), (-1.0, "bicgstab")])
     def test_solve_reports_solver(self, tmp_path, capsys, g, solver):
@@ -440,7 +467,7 @@ class TestColdStart:
             "             cli.main(['interior', '--cases', '2'])]\n"
             "assert codes == [0, 0], codes\n"
             "from poissonlab import pde, surface\n"
-            "grid = pde.PolarGrid(surface.flat(1.0001), 16, 24, 1.0)\n"
+            "grid = pde.PolarGrid(surface.flat(), 16, 24, 1.0)\n"
             "_, rep = pde.solve_dirichlet(grid, pde.constant_field(grid, -1.0),\n"
             "                             pde.constant_field(grid, -4.0), 0.0)\n"
             "assert rep.converged, rep\n"

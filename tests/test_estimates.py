@@ -115,7 +115,7 @@ class TestExperimentCase:
             estimates.resolve_boundary(grid, spec)
 
     def test_support_restriction(self):
-        grid = pde.PolarGrid(surface.flat(2.001), 16, 16, 2.0)
+        grid = pde.PolarGrid(surface.flat(), 16, 16, 2.0)
         f = estimates.resolve_field(grid, {"kind": "constant", "value": 1.0,
                                            "support_radius": 1.0})
         assert np.all(f.values[grid.r_nodes > 1.0 + 1e-9] == 0.0)
@@ -348,7 +348,7 @@ class TestHarnack:
 
     def test_positive_harmonic(self):
         # u = 2 + r cos(theta): max/min over closed B_{1/2} is 2.5/1.5
-        grid = pde.PolarGrid(surface.flat(1.001), 32, 64, 1.0)
+        grid = pde.PolarGrid(surface.flat(), 32, 64, 1.0)
         case = estimates.ExperimentCase(n_r=32, n_theta=64)
         b = 2.0 + np.cos(grid.theta_nodes)
         f = pde.constant_field(grid, 0.0)
@@ -449,7 +449,7 @@ class TestGlobalPipeline:
 
     def test_sobolev_closed_form(self):
         # u = 1 - r^2, q = 2, A = 1/(4 pi): lhs sqrt(pi/3), rhs sqrt(2 pi)/2
-        grid = pde.PolarGrid(surface.flat(1.001), 96, 32, 1.0)
+        grid = pde.PolarGrid(surface.flat(), 96, 32, 1.0)
         R, _ = grid.mesh()
         u = pde.DiscreteField(grid, 1 - R**2, 1.0)
         v = estimates.sobolev_check(grid, u, 2.0, 1 / (4 * np.pi))
@@ -458,14 +458,14 @@ class TestGlobalPipeline:
         assert v.passed
 
     def test_sobolev_rejects_boundary_values(self):
-        grid = pde.PolarGrid(surface.flat(1.001), 16, 16, 1.0)
+        grid = pde.PolarGrid(surface.flat(), 16, 16, 1.0)
         u = pde.constant_field(grid, 1.0)
         with pytest.raises(ValueError, match="boundary"):
             estimates.sobolev_check(grid, u, 2.0, 1.0)
 
     def test_sobolev_q1_needs_enlarged_constant(self):
         # at q = 1 the bound fails with A = A_iso but holds with A = 4 A_iso
-        grid = pde.PolarGrid(surface.flat(1.001), 96, 32, 1.0)
+        grid = pde.PolarGrid(surface.flat(), 96, 32, 1.0)
         R, _ = grid.mesh()
         u = pde.DiscreteField(grid, 1 - R**2, 1.0)
         tight = estimates.sobolev_check(grid, u, 1.0, 1 / (4 * np.pi))

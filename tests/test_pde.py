@@ -11,7 +11,7 @@ from poissonlab.rearrange import WeightedSamples
 
 
 def flat_grid(n_r=32, n_theta=48, r_max=1.0):
-    return pde.PolarGrid(surface.flat(r_max * 1.001), n_r, n_theta, r_max)
+    return pde.PolarGrid(surface.flat(), n_r, n_theta, r_max)
 
 
 class TestPolarGrid:
@@ -31,7 +31,7 @@ class TestPolarGrid:
 
     def test_r_max_out_of_range(self):
         with pytest.raises(ValueError, match="out of metric range"):
-            pde.PolarGrid(surface.flat(r_max=1.0), 16, 16, 2.0)
+            pde.PolarGrid(surface.sphere(), 16, 16, 3.2)
         with pytest.raises(ValueError, match="out of metric range"):
             pde.PolarGrid(surface.flat(), 16, 16, float("nan"))
 
@@ -65,7 +65,7 @@ class TestOperator:
         # interior nodes and the pole, with its observed order over n, 2n, 4n.
         # u = cos(x + 2y) is even in (x, y), so it has no odd powers of r at the
         # pole: those leave an O(dr) truncation error on the first ring.
-        metric = surface.from_name("perturbed:0.1", r_max=1.0001)
+        metric = surface.from_name("perturbed:0.1")
         ns, errors = (32, 64, 128), []
         for n in ns:
             grid = pde.PolarGrid(metric, n, 2 * n, 1.0)
@@ -198,7 +198,7 @@ class TestModePreconditioner:
         # the theta-averaged operator is A and the preconditioner inverts it;
         # an odd n_theta has no Nyquist mode
         for n_r, n_theta in ((16, 24), (17, 9)):
-            grid = pde.PolarGrid(surface.from_name(metric, r_max=1.0001), n_r, n_theta, 1.0)
+            grid = pde.PolarGrid(surface.from_name(metric), n_r, n_theta, 1.0)
             g = pde.field_from_function(grid, gfun)
             A, _ = pde.assemble_system(grid, g, pde.constant_field(grid, 0.0), np.zeros(n_theta))
             x = np.random.default_rng(3).normal(size=A.shape[0])
@@ -235,7 +235,7 @@ class TestModePreconditioner:
         # -0.5 on every metric: finite answers, and converged exactly when the
         # recomputed residual meets the tolerance
         for metric in ("flat", "sphere", "hyperbolic", "perturbed:0.05"):
-            grid = pde.PolarGrid(surface.from_name(metric, r_max=1.0001), 16, 24, 1.0)
+            grid = pde.PolarGrid(surface.from_name(metric), 16, 24, 1.0)
             f = pde.field_from_function(grid, lambda x, y: np.exp(x) - y)
             for value in np.linspace(-60.0, -0.5, 60):
                 u, rep = pde.solve_dirichlet(grid, pde.constant_field(grid, value), f,
@@ -300,7 +300,7 @@ class TestAssembly:
     @pytest.mark.parametrize("metric", ["flat", "sphere", "hyperbolic", "perturbed:0.05"])
     def test_csr_bitwise_coo(self, metric, with_g, shape):
         n_r, n_theta = shape
-        grid = pde.PolarGrid(surface.from_name(metric, r_max=1.0001), n_r, n_theta, 1.0)
+        grid = pde.PolarGrid(surface.from_name(metric), n_r, n_theta, 1.0)
         rng = np.random.default_rng(n_r * n_theta)
         f = pde.DiscreteField(grid, rng.normal(size=shape), 0.3)
         g = pde.DiscreteField(grid, rng.normal(size=shape), -0.7) if with_g else None
@@ -317,7 +317,7 @@ class TestAssembly:
     def test_rows_match_operator(self):
         # A x - rhs is the measure-scaled residual w (-Lap u + g u + f) of the
         # stencil apply, row by row, with the boundary ring set to the data
-        grid = pde.PolarGrid(surface.from_name("perturbed:0.1", r_max=1.0001), 16, 24, 1.0)
+        grid = pde.PolarGrid(surface.from_name("perturbed:0.1"), 16, 24, 1.0)
         rng = np.random.default_rng(5)
         u = pde.DiscreteField(grid, rng.normal(size=(16, 24)), 0.7)
         g = pde.field_from_function(grid, lambda x, y: 2.0 + np.cos(3 * x) * y)
@@ -335,7 +335,7 @@ class TestAssembly:
 
     def test_geometry_cache(self):
         # equal built-in specs are one grid value and share one record
-        g1, g2 = (pde.PolarGrid(surface.from_name("perturbed:0.05", r_max=1.0001), 16, 24, 1.0)
+        g1, g2 = (pde.PolarGrid(surface.from_name("perturbed:0.05"), 16, 24, 1.0)
                   for _ in range(2))
         assert g1 == g2 and hash(g1) == hash(g2)
         assert pde.geometry(g1) is pde.geometry(g2)
@@ -383,7 +383,7 @@ class TestNorms:
 class TestLogPotential:
     def _disk_samples(self, n=200):
         # midpoint polar cells of the unit disk
-        return surface.sample_ball(surface.flat(), 1.0, None, n, 64)
+        return surface.sample_ball(surface.flat(), 1.0, n, 64)
 
     def test_center_value(self):
         # (1/2pi) int_{B_1} ln|y| dy = -1/4

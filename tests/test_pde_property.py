@@ -15,7 +15,7 @@ _seeds = st.integers(0, 2**32 - 1)
 
 
 def _grid(metric, n_r, n_theta):
-    return pde.PolarGrid(surface.from_name(metric, r_max=1.0001), n_r, n_theta, 1.0)
+    return pde.PolarGrid(surface.from_name(metric), n_r, n_theta, 1.0)
 
 
 def _field(grid, rng, scale=1.0, shift=0.0):

@@ -18,11 +18,14 @@ class TestMetrics:
             surface.from_name("torus")
 
     def test_perturbed_degenerate(self):
-        with pytest.raises(ValueError, match="degenerates"):
-            surface.perturbed(0.5, r_max=2.0)
         # G = r (1 + eps r^2 cos theta) vanishes at r = 1/sqrt(|eps|) for either sign
-        with pytest.raises(ValueError, match="degenerates"):
-            surface.perturbed(-0.5)
+        assert surface.perturbed(0.0).domain == np.inf
+        for eps in (0.5, -0.5):
+            assert surface.perturbed(eps).domain == pytest.approx(np.sqrt(2.0), rel=1e-15)
+            with pytest.raises(ValueError, match="out of range"):
+                surface.ball_volume(surface.perturbed(eps), 2.0)
+            with pytest.raises(ValueError, match="out of range"):
+                surface.boundary_length(surface.perturbed(eps), 1.5)
         with pytest.raises(ValueError, match="degenerates"):
             surface.perturbed(float("nan"))
 
@@ -49,7 +52,9 @@ class TestLengthVolume:
 
     def test_radius_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            surface.ball_volume(surface.flat(r_max=1.0), 2.0)
+            surface.ball_volume(surface.sphere(), 3.2)
+        with pytest.raises(ValueError, match="out of range"):  # past the antipode sin r < 0
+            surface.boundary_length(surface.sphere(), 3.5)
         for check in (surface.ball_volume, surface.boundary_length, surface.flux_variation):
             with pytest.raises(ValueError, match="out of range"):
                 check(surface.flat(), float("nan"))
