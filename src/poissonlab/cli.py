@@ -2,7 +2,7 @@
 
 Exit codes: 0 all verdicts pass, 2 any verdict fails, 1 input error
 (malformed JSON reported with line/column, missing files by path, usage
-errors as one line).
+errors and grids too large to allocate as one line).
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import estimates, pde, report, surface
+from . import estimates, report, surface
 from .rearrange import WeightedSamples, direct_pairing, rearrange
 from .report import VerdictReport
 
@@ -198,7 +198,7 @@ def cmd_global(args) -> int:
     for i in range(args.cases):
         spec = {"kind": "random_bumps", "count": 2, "amp": (0.5, 3.0), "k": (2, 8),
                 "center_r_max": 0.6, "sign": "any", "seed": args.seed * 9973 + i}
-        vs, _ = estimates.global_energy_checks(spec, A=A, n_r=args.n_r, n_theta=args.n_theta)
+        vs = estimates.global_energy_checks(spec, A=A, n_r=args.n_r, n_theta=args.n_theta)
         verdicts.extend(VerdictReport(v.name, v.lhs, v.rhs, v.tol, f"energy-{i}") for v in vs)
     return _finish(verdicts, args)
 
@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InputError, ValueError, OSError) as exc:
+    except (InputError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

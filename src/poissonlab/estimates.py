@@ -50,12 +50,6 @@ def eta_radial(s):
     return out
 
 
-def bump_eta(x):
-    """Smooth cutoff on the plane: 1 on B_1, supported in B_2, values in [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    return eta_radial(np.hypot(x[..., 0], x[..., 1]))
-
-
 # ---------------------------------------------------------------------------
 # experiment cases
 # ---------------------------------------------------------------------------
@@ -115,6 +109,7 @@ def _is_pair(v) -> bool:
 
 _SPEC_KINDS = {
     "a number": _is_number,
+    "a non-NaN number": lambda v: _is_number(v) and not np.isnan(v),
     "a non-negative integer": lambda v: (isinstance(v, numbers.Integral)
                                          and not isinstance(v, bool) and v >= 0),
     "a pair of numbers": _is_pair,
@@ -185,7 +180,8 @@ def resolve_field(grid: pde.PolarGrid, spec: dict, seed: int = 0) -> pde.Discret
         out = _resolve_bumps(grid, _random_bumps_spec(rng, spec))
     else:
         raise ValueError(f"unknown field kind {kind!r}")
-    out.values[~grid.ring_mask(_param(spec, "support_radius", "a number", None))] = 0.0
+    # a NaN radius would mask every ring
+    out.values[~grid.ring_mask(_param(spec, "support_radius", "a non-NaN number", None))] = 0.0
     return out
 
 
@@ -360,11 +356,8 @@ def moser_resolve(a: float, b: float, rho0: float) -> float:
 @dataclass(frozen=True)
 class BmoDualityResult:
     lhs: float
-    atom_proxy: float
     pairing_ratio: float
     naive_bound: float
-    kernel_bmo: dict
-    kernel_spread: float
 
 
 def log_kernel_samples(rho: float) -> WeightedSamples:
@@ -385,11 +378,10 @@ def kernel_bmo_estimate(rho: float) -> float:
         family.append(((0.0, 0.0), rad))
         for off in ((rho / 2, 0.0), (-rho / 2, 0.0), (0.0, rho / 2), (0.0, -rho / 2)):
             family.append((off, rad))
-    return bmo_norm(samples, family).value
+    return bmo_norm(samples, family)
 
 
-def bmo_duality_check(f: WeightedSamples, x0, rho: float,
-                      kernel_rhos=(0.1, 0.2, 0.4)) -> BmoDualityResult:
+def bmo_duality_check(f: WeightedSamples, x0, rho: float) -> BmoDualityResult:
     """Pairing of a mean-zero f with the truncated log kernel: the duality
     route (atom proxy) versus the divergent naive sup bound."""
     if f.positions is None:
@@ -409,12 +401,7 @@ def bmo_duality_check(f: WeightedSamples, x0, rho: float,
     r_min = float(d[supp].max()) if np.any(supp) else 0.0
     proxy = float(np.max(np.abs(f.values)) * np.pi * r_min**2)
     sup_kernel = float(np.max(np.abs(kern[supp]))) if np.any(supp) else 0.0
-    naive = scale * sup_kernel
-    bmos = {r: kernel_bmo_estimate(r) for r in kernel_rhos}
-    vals = np.array(list(bmos.values()))
-    spread = float((vals.max() - vals.min()) / vals.mean())
-    return BmoDualityResult(lhs, proxy, lhs / proxy if proxy > 0 else 0.0,
-                            naive, bmos, spread)
+    return BmoDualityResult(lhs, lhs / proxy if proxy > 0 else 0.0, scale * sup_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +459,7 @@ def global_energy_checks(f_spec: dict, A: float, n_r: int = 48, n_theta: int = 6
     C0 = 2.0 * np.e * np.sqrt(A)
     gn = pde.gradient_l2(grid, v)
     V = grid.total_measure
-    sup_v = v.sup_norm()
-    if gn == 0.0 and sup_v > 1e-12:
+    if gn == 0.0 and v.sup_norm() > 1e-12:
         raise RuntimeError("zero gradient with nonzero field: discretization fault")
 
     Cm = C0 * 1.2
@@ -493,7 +479,7 @@ def global_energy_checks(f_spec: dict, A: float, n_r: int = 48, n_theta: int = 6
 
     fnorm = field_zygmund_norm(sol.f, 1.0)
     v_en = VerdictReport("energy_bound", gn, Cm * fnorm, 0.0, case.case_id)
-    return [v_jn, v_re, v_en], sol
+    return [v_jn, v_re, v_en]
 
 
 @dataclass
@@ -501,8 +487,6 @@ class GlobalEstimateResult:
     max_principle: VerdictReport
     ratio: float
     sup_u: float
-    sup_v: float
-    fnorm: float
     ladder: dict | None
 
 
@@ -525,9 +509,9 @@ def global_estimate(f_spec: dict, n_r: int = 48, n_theta: int = 64,
                            R_outer=2.0, R_inner=1.0, case_id="global-v")
     sol_v = solve_case(outer)
     sup_u = sol_u.u.sup_norm(1.0)
-    sup_v = sol_v.u.sup_norm(1.0)
     fnorm = field_zygmund_norm(sol_u.f, 1.0)
-    maxp = VerdictReport("max_principle", sup_u, 2.0 * sup_v + 1e-2, 0.0, "global")
+    maxp = VerdictReport("max_principle", sup_u, 2.0 * sol_v.u.sup_norm(1.0) + 1e-2, 0.0,
+                         "global")
     ratio = sup_u / fnorm if fnorm > 0 else 0.0
 
     ladder = None
@@ -535,9 +519,8 @@ def global_estimate(f_spec: dict, n_r: int = 48, n_theta: int = 64,
         grid2 = sol_v.grid
         f2 = sol_v.f
         fnorm_full = field_zygmund_norm(f2, 1.0)
-        ladder_ns = (4, 8, 16)
         tails = []
-        for n in ladder_ns:
+        for n in (4, 8, 16):
             fn = f2.values * _cutoff_eta_n(grid2, n)[:, None]
             tails.append(field_zygmund_norm(pde.DiscreteField(grid2, f2.values - fn, 0.0), 1.0))
         # v_16 - v_8 solves the source f (eta_16 - eta_8) with zero data, by linearity
@@ -547,10 +530,9 @@ def global_estimate(f_spec: dict, n_r: int = 48, n_theta: int = 64,
         dnorm = field_zygmund_norm(dfn, 1.0)
         cauchy = VerdictReport("ladder_cauchy", diff.sup_norm(1.5),
                                5.0 * dnorm + 1e-9, 0.0, "global")
-        ladder = {"ns": list(ladder_ns), "tails": tails, "cauchy": cauchy,
-                  "tail_ok": tails[-1] <= 1e-2 * fnorm_full
+        ladder = {"cauchy": cauchy, "tail_ok": tails[-1] <= 1e-2 * fnorm_full
                   and all(b <= a * (1 + 1e-12) for a, b in zip(tails, tails[1:]))}
-    return GlobalEstimateResult(maxp, ratio, sup_u, sup_v, fnorm, ladder)
+    return GlobalEstimateResult(maxp, ratio, sup_u, ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +593,6 @@ def max_principle_corpus(n_cases: int = 100, seed: int = 0, n_r: int = 24,
 @dataclass(frozen=True)
 class CounterexampleRun:
     k: int
-    y_k: tuple
     u0_raw: float
     u0_standard: float
     zygmund: float
@@ -691,8 +672,7 @@ def counterexample_family(k: int, n_local: int = 384) -> CounterexampleRun:
     d0 = np.hypot(core[:, 0] / k + yk[0], core[:, 1] / k + yk[1])
     lb = 0.5 * float(np.sum(np.log(1.0 / d0))) * h * h
 
-    return CounterexampleRun(k, tuple(yk), u0_raw, u0_std, zyg, l1, mean,
-                             r_min, size_min, atom, lb)
+    return CounterexampleRun(k, u0_raw, u0_std, zyg, l1, mean, r_min, size_min, atom, lb)
 
 
 def counterexample_series(ks=(16, 32, 64, 128, 256), n_local: int = 384):

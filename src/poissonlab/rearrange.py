@@ -98,12 +98,6 @@ class StepProfile:
 
 
 @dataclass(frozen=True)
-class BmoEstimate:
-    value: float
-    ball_family: list
-
-
-@dataclass(frozen=True)
 class AtomVerdict:
     support_ok: bool
     mean: float
@@ -153,7 +147,7 @@ def direct_pairing(f: WeightedSamples, h: WeightedSamples) -> float:
     return float(np.sum(np.abs(f.values * h.values) * f.measures))
 
 
-def bmo_norm(f: WeightedSamples, ball_family) -> BmoEstimate:
+def bmo_norm(f: WeightedSamples, ball_family) -> float:
     """Sup of mean oscillation over a finite ball family; a lower bound of the
     true BMO norm.  Needs cell positions."""
     if f.positions is None:
@@ -174,7 +168,7 @@ def bmo_norm(f: WeightedSamples, ball_family) -> BmoEstimate:
         mean = np.sum(v * w) / vol
         osc = float(np.sum(np.abs(v - mean) * w) / vol)
         best = max(best, osc)
-    return BmoEstimate(best, balls)
+    return best
 
 
 def atom_check(f: WeightedSamples, ball) -> AtomVerdict:

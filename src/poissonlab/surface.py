@@ -9,7 +9,6 @@ Zygmund norm, and the flux-variation integral.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,14 +100,12 @@ class Perturbed(MetricProfile):
 class IsoperimetricEstimate:
     A_iso: float
     A_curv: float
-    p: float
     volumes: tuple  # V(B_r) per probed radius
     lengths: tuple  # l(dB_r) per probed radius
 
 
 @dataclass(frozen=True)
 class FluxExponentFit:
-    rhos: np.ndarray
     values: np.ndarray
     exponent: float | None
     target: float
@@ -162,7 +159,7 @@ def gauss_curvature(metric: MetricProfile, r, theta):
     g = metric.G(r, theta)
     if np.any(np.asarray(g) <= 0):
         raise ValueError("degenerate metric")
-    return np.squeeze(-metric.d2G(r, theta) / g)[()]
+    return (-metric.d2G(r, theta) / g)[()]
 
 
 def _midpoint_mesh(radius: float, n_r: int, n_theta: int):
@@ -176,9 +173,8 @@ def curvature_lp_norm(metric: MetricProfile, p: float, n_r: int = 256,
                       n_theta: int = 256) -> float:
     """||K||_{L^p(B_radius)} by midpoint quadrature, radius = min(1, domain)."""
     R, T, dr, dth = _midpoint_mesh(min(1.0, metric.domain), n_r, n_theta)
-    g = metric.G(R, T)
-    k = -metric.d2G(R, T) / np.maximum(g, 1e-300)
-    return float(np.sum(np.abs(k) ** p * g * dr * dth) ** (1.0 / p))
+    k = gauss_curvature(metric, R, T)
+    return float(np.sum(np.abs(k) ** p * metric.G(R, T) * dr * dth) ** (1.0 / p))
 
 
 def isoperimetric_constant(metric: MetricProfile, radii, p: float = 2.0,
@@ -193,7 +189,7 @@ def isoperimetric_constant(metric: MetricProfile, radii, p: float = 2.0,
     vols = tuple(ball_volume(metric, r, n_r, n_theta) for r in radii)
     ells = tuple(float(boundary_length(metric, r, n_theta)) for r in radii)
     return IsoperimetricEstimate(max(v / ell**2 for v, ell in zip(vols, ells)),
-                                 curvature_lp_norm(metric, p, n_r, n_theta), p, vols, ells)
+                                 curvature_lp_norm(metric, p, n_r, n_theta), vols, ells)
 
 
 def geometry_bounds_verdicts(metric: MetricProfile, A: float, p: float, radii,
@@ -223,30 +219,14 @@ def geometry_bounds_verdicts(metric: MetricProfile, A: float, p: float, radii,
     return [VerdictReport(f"geometry_{k}", lhs, rhs, 1e-9, case) for k, (lhs, rhs) in worst.items()]
 
 
-def geometry_bounds_check(metric: MetricProfile, A: float, p: float, radii) -> VerdictReport:
-    """Worst-slack verdict over all four bounds and all probed radii."""
-    return max(geometry_bounds_verdicts(metric, A, p, radii), key=lambda v: v.ratio)
-
-
 # the radial knot segments of the kernel weight's quadrature
 _H_SEGMENTS = 512
 
 
-def kernel_weight(metric: MetricProfile, R: float, d: float) -> float:
-    """h = int_d^R dr / l(dB_r); flat metric gives ln(R/d) / 2pi."""
-    if not (0 <= d <= R < metric.domain):
-        raise ValueError("need 0 <= d <= R < domain")
-    if d == R:
-        return 0.0
-    if d == 0.0:
-        warnings.warn("singular endpoint: inner cutoff at first grid node")
-        d = R / (2 * _H_SEGMENTS)
-    return float(kernel_weight_profile(metric, R, d))
-
-
 def kernel_weight_profile(metric: MetricProfile, R: float, r_eval) -> np.ndarray:
-    """h evaluated at many radii at once via a reverse cumulative integral on
-    a knot grid refined to at least _H_SEGMENTS segments."""
+    """The kernel weight h(r) = int_r^R dt / l(dB_t), which is ln(R/r) / 2pi on
+    the flat metric, at many radii at once via a reverse cumulative integral
+    on a knot grid refined to at least _H_SEGMENTS segments."""
     r_eval = np.asarray(r_eval, dtype=float)
     rs = np.unique(r_eval)
     if not (0 < rs[0] and rs[-1] <= R * (1 + 1e-12)):  # NaN sorts last
@@ -344,6 +324,6 @@ def flux_exponent_fit(metric: MetricProfile, p: float) -> FluxExponentFit:
     values = np.array([flux_variation(metric, r) for r in rhos])
     target = 2.0 - 2.0 / p
     if np.any(values <= 0):
-        return FluxExponentFit(rhos, values, None, target)
+        return FluxExponentFit(values, None, target)
     slope = float(np.polyfit(np.log(rhos), np.log(values), 1)[0])
-    return FluxExponentFit(rhos, values, slope, target)
+    return FluxExponentFit(values, slope, target)

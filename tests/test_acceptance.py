@@ -76,7 +76,8 @@ def test_criterion_2_geometry():
     closed_ok = max(errs) <= 1e-8
 
     radii = [0.25, 0.5, 0.75, 1.0]
-    eq = surface.geometry_bounds_check(surface.flat(), 1 / (4 * np.pi), 2.0, radii)
+    eq = max(surface.geometry_bounds_verdicts(surface.flat(), 1 / (4 * np.pi), 2.0, radii),
+             key=lambda v: v.ratio)
     equality_ok = eq.passed and abs(eq.ratio - 1.0) <= 1e-10
 
     bounds_ok = True
@@ -222,8 +223,7 @@ def test_criterion_8_global():
     for seed in range(50):
         spec = {"kind": "random_bumps", "count": 2, "amp": (0.5, 3.0), "k": (2, 8),
                 "center_r_max": 0.6, "sign": "any", "seed": 1000 + seed}
-        verdicts, _ = estimates.global_energy_checks(spec, A=A_flat,
-                                                     n_r=32, n_theta=48)
+        verdicts = estimates.global_energy_checks(spec, A=A_flat, n_r=32, n_theta=48)
         if verdicts[0].passed:  # john_nirenberg with constant 2e sqrt(A)
             jn_pass += 1
 

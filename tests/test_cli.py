@@ -97,8 +97,13 @@ class TestExitCodes:
         # the sphere's G = sin r vanishes at pi, so no grid may reach it
         '{"metric": "sphere", "r_max": 3.3, "n_r": 16, "n_theta": 16}',
         f'{{"metric": "sphere", "r_max": {math.pi!r}, "n_r": 16, "n_theta": 16}}',
+        # 728 TiB per grid array, past the 128 TiB x86-64 user address space
+        '{"metric": "flat", "n_r": 10000000, "n_theta": 10000000}',
+        # a NaN radius would zero the whole field
+        '{"n_r": 16, "n_theta": 16, "f": {"kind": "constant", "value": 1.0, "support_radius": NaN}}',
+        '{"n_r": 16, "n_theta": 16, "g": {"kind": "constant", "value": 1.0, "support_radius": NaN}}',
     ], ids=["unknown-key", "string-n_r", "array", "infinite-f", "sphere-past-antipode",
-            "sphere-antipode"])
+            "sphere-antipode", "huge-grid", "nan-support-f", "nan-support-g"])
     def test_bad_case_one_line(self, tmp_path, capsys, text):
         path = tmp_path / "case.json"
         path.write_text(text)
@@ -168,11 +173,12 @@ class TestExitCodes:
         ["verify-norms", "--seed", "-1"],
         ["global", "--seed", "-1"],
         ["global", "--cases", "-1"],
+        ["interior", "--cases", "1", "--n-r", "10000000", "--n-theta", "10000000"],
     ], ids=["n-r-0", "n-theta-0", "no-cases", "k-0", "k-negative", "unknown-option",
             "bad-type", "no-command", "solver-tol-0", "solver-tol-negative", "solver-tol-nan",
             "A-negative", "A-inf", "A-0", "p-negative", "p-0", "eps-negative", "eps-nan",
             "seed-negative-interior", "seed-negative-norms", "seed-negative-global",
-            "cases-negative-global"])
+            "cases-negative-global", "huge-grid-interior"])
     @pytest.mark.filterwarnings("error")
     def test_bad_argument_one_line(self, capsys, argv):
         assert main(argv) == 1
@@ -286,6 +292,22 @@ class TestExitCodes:
         fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
                   for cls in (surface.Flat, surface.Sphere, surface.Hyperbolic, surface.Perturbed)}
         assert fields == {"Flat": [], "Sphere": [], "Hyperbolic": [], "Perturbed": ["eps"]}
+
+    def test_result_fields_are_pinned(self):
+        # every field is one that some caller reads; a new one is added here on purpose
+        fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+                  for cls in (estimates.BmoDualityResult, estimates.GlobalEstimateResult,
+                              estimates.CounterexampleRun, surface.FluxExponentFit,
+                              surface.IsoperimetricEstimate)}
+        assert fields == {
+            "BmoDualityResult": ["lhs", "pairing_ratio", "naive_bound"],
+            "GlobalEstimateResult": ["max_principle", "ratio", "sup_u", "ladder"],
+            "CounterexampleRun": ["k", "u0_raw", "u0_standard", "zygmund", "l1", "mean",
+                                  "min_radius", "size_bound_minimal", "atom_in_6k",
+                                  "inner_lower_bound"],
+            "FluxExponentFit": ["values", "exponent", "target"],
+            "IsoperimetricEstimate": ["A_iso", "A_curv", "volumes", "lengths"],
+        }
 
     def test_report_passthrough(self, tmp_path, capsys):
         path = tmp_path / "v.json"

