@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -129,7 +130,9 @@ def cmd_verify_norms(args) -> int:
             VerdictReport("rearrangement_mass", l1_star, l1_direct, 1e-9),
             VerdictReport("rearrangement_mass_rev", l1_direct, l1_star, 1e-9),
             VerdictReport("hardy_littlewood_self", direct_pairing(f, f), prof.pairing(prof), 1e-9),
-            VerdictReport("zygmund_dominates_l1", l1_direct, znorm + l1_direct, 0.0),
+            # ln(|X|/t) decreases with mean 1 on [0, |X|], so by Chebyshev's integral
+            # inequality int f* ln(|X|/t) dt >= int f* dt; a larger domain only adds
+            VerdictReport("zygmund_dominates_l1", l1_direct, znorm, 1e-9),
         ]
     if not np.all(np.isfinite([(v.lhs, v.rhs) for v in verdicts])):
         raise InputError("the field's norms overflow double precision")
@@ -140,17 +143,8 @@ def cmd_verify_norms(args) -> int:
 def cmd_solve(args) -> int:
     case = estimates.ExperimentCase.from_dict(_load_json(args.case))
     sol = estimates.solve_case(case, tol=args.solver_tol)
-    payload = {
-        "case": case.to_dict(),
-        "pole": sol.u.pole,
-        "values": sol.u.values.tolist(),
-        "residual": sol.report.residual_norm,
-        "iterations": sol.report.iterations,
-        "converged": sol.report.converged,
-        "solver": sol.report.solver,
-        "setup_s": sol.report.setup_s,
-        "solve_s": sol.report.solve_s,
-    }
+    payload = {"case": case.to_dict(), "pole": sol.u.pole, "values": sol.u.values.tolist(),
+               **asdict(sol.report)}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out is None:
         print(text)
@@ -158,7 +152,7 @@ def cmd_solve(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(f"{'PASS' if sol.report.converged else 'FAIL'} solve solver={sol.report.solver} "
-          f"residual={sol.report.residual_norm:.3g} iters={sol.report.iterations} "
+          f"residual={sol.report.residual:.3g} iters={sol.report.iterations} "
           f"setup_s={sol.report.setup_s:.3g} solve_s={sol.report.solve_s:.3g}",
           file=sys.stderr)
     return 0 if sol.report.converged else 2
@@ -211,14 +205,14 @@ def cmd_counterexample(args) -> int:
     while k <= args.kmax:
         ks.append(k)
         k *= 2
-    runs = estimates.counterexample_series(ks, n_local=args.n_local)
+    runs = [estimates.counterexample_family(k, args.n_local) for k in ks]
     slope = estimates.fit_log_slope(ks, [r.u0_raw for r in runs])
     if args.format == "csv" and args.out is not None:
         header = ["k", "u0_raw", "u0_standard", "zygmund_norm", "l1_norm", "atom_size_bound",
                   "min_radius"]
         report.write_table(args.out, header, [
             [r.k] + [f"{x:.10g}" for x in (r.u0_raw, r.u0_standard, r.zygmund, r.l1,
-                                           r.size_bound_minimal, r.min_radius)]
+                                           r.size_bound_minimal, r.atom_in_6k.min_radius)]
             for r in runs])
     else:
         rows = [VerdictReport(f"counterexample_k{r.k}", 0.0, r.u0_raw, 0.0,

@@ -71,6 +71,8 @@ class ExperimentCase:
     R_inner: float = 0.5
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy's default_rng would refuse it without naming the key
+            raise ValueError(f"case key 'seed': {self.seed!r} is not a non-negative int")
         if not self.R_inner < self.R_outer <= self.r_max * (1 + 1e-12):
             raise ValueError("need R_inner < R_outer <= r_max")
 
@@ -196,7 +198,10 @@ def resolve_boundary(grid: pde.PolarGrid, spec: dict, seed: int = 0) -> np.ndarr
         rng = np.random.default_rng(_param(spec, "seed", "a non-negative integer", seed))
         amp = _param(spec, "amp", "a number", 1.0)
         vals = np.full(grid.n_theta, float(_param(spec, "offset", "a number", 0.0)))
-        for m in range(1, _param(spec, "modes", "a non-negative integer", 3) + 1):
+        modes, top = _param(spec, "modes", "a non-negative integer", 3), grid.n_theta // 2
+        if modes > top:  # a higher mode aliases onto a resolved one
+            raise ValueError(f"spec key 'modes': {modes} exceeds n_theta // 2 = {top}")
+        for m in range(1, modes + 1):
             vals += amp / m * (rng.uniform(-1, 1) * np.cos(m * th)
                                + rng.uniform(-1, 1) * np.sin(m * th))
         return vals
@@ -408,15 +413,15 @@ def bmo_duality_check(f: WeightedSamples, x0, rho: float) -> BmoDualityResult:
 # global pipeline
 # ---------------------------------------------------------------------------
 
-def sobolev_check(grid: pde.PolarGrid, u: pde.DiscreteField, q: float, A: float) -> VerdictReport:
+def sobolev_check(u: pde.DiscreteField, q: float, A: float) -> VerdictReport:
     """||u||_q <= (q sqrt(A)/2) V^(1/q) ||grad u||_2 for zero-boundary u."""
     if q < 1:
         raise ValueError("q must be >= 1")
     scale = u.sup_norm() + 1e-30
     if np.max(np.abs(u.values[-1])) > 1e-10 * scale:
         raise ValueError("nonzero boundary values rejected")
-    lhs = pde.lq_norm(grid, u, q)
-    rhs = (q * np.sqrt(A) / 2.0) * grid.total_measure ** (1.0 / q) * pde.gradient_l2(grid, u)
+    lhs = pde.lq_norm(u, q)
+    rhs = (q * np.sqrt(A) / 2.0) * u.grid.total_measure ** (1.0 / q) * pde.gradient_l2(u)
     return VerdictReport(f"sobolev_q{q:g}", lhs, rhs, 1e-9)
 
 
@@ -455,10 +460,9 @@ def global_energy_checks(f_spec: dict, A: float, n_r: int = 48, n_theta: int = 6
                           f=dict(f_spec, support_radius=min(f_spec.get("support_radius", 1.0), 1.0)),
                           R_outer=2.0, R_inner=1.0, case_id="global-energy")
     sol = solve_case(case)
-    grid, v = sol.grid, sol.u
+    v, V = sol.u, sol.grid.total_measure
     C0 = 2.0 * np.e * np.sqrt(A)
-    gn = pde.gradient_l2(grid, v)
-    V = grid.total_measure
+    gn = pde.gradient_l2(v)
     if gn == 0.0 and v.sup_norm() > 1e-12:
         raise RuntimeError("zero gradient with nonzero field: discretization fault")
 
@@ -598,7 +602,6 @@ class CounterexampleRun:
     zygmund: float
     l1: float
     mean: float
-    min_radius: float
     size_bound_minimal: float
     atom_in_6k: object
     inner_lower_bound: float
@@ -672,11 +675,7 @@ def counterexample_family(k: int, n_local: int = 384) -> CounterexampleRun:
     d0 = np.hypot(core[:, 0] / k + yk[0], core[:, 1] / k + yk[1])
     lb = 0.5 * float(np.sum(np.log(1.0 / d0))) * h * h
 
-    return CounterexampleRun(k, u0_raw, u0_std, zyg, l1, mean, r_min, size_min, atom, lb)
-
-
-def counterexample_series(ks=(16, 32, 64, 128, 256), n_local: int = 384):
-    return [counterexample_family(k, n_local) for k in ks]
+    return CounterexampleRun(k, u0_raw, u0_std, zyg, l1, mean, size_min, atom, lb)
 
 
 def fit_log_slope(ks, values) -> float:

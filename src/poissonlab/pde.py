@@ -95,9 +95,6 @@ class Geometry:
     a: np.ndarray          # radial face couplings; row 0 is the pole face
     b: np.ndarray          # angular face couplings
     pole_volume: float     # V(B_{dr/2}), the pole's weight
-    a_bar: np.ndarray      # theta-averaged a, (n_r,)
-    b_bar: np.ndarray      # theta-averaged b on the unknown rings, (n_r - 1,)
-    symbols: np.ndarray    # 2 - 2 cos(m dtheta) of the angular difference, m = 0..n_theta/2
 
 
 @lru_cache(maxsize=2)
@@ -114,13 +111,10 @@ def geometry(grid: PolarGrid) -> Geometry:
     # angular faces at theta_{j+1/2} on each ring
     b = dr / (m.G(rn[:, None], tn + dth / 2) * dth)
     X, Y = R * np.cos(T), R * np.sin(T)
-    means = a.mean(axis=1), b[:-1].mean(axis=1)
-    symbols = 2 - 2 * np.cos(dth * np.arange(grid.n_theta // 2 + 1))
-    for arr in (R, T, X, Y, weights, a, b, *means, symbols):
+    for arr in (R, T, X, Y, weights, a, b):
         arr.flags.writeable = False
     # the pole's weight V(B_{dr/2}), Simpson over 4 radial intervals
-    return Geometry((R, T), (X, Y), weights, a, b, ball_volume(m, dr / 2, 4, grid.n_theta),
-                    *means, symbols)
+    return Geometry((R, T), (X, Y), weights, a, b, ball_volume(m, dr / 2, 4, grid.n_theta))
 
 
 @dataclass
@@ -168,7 +162,7 @@ class DiscreteField:
 
 @dataclass(frozen=True)
 class SolveReport:
-    residual_norm: float
+    residual: float        # the recomputed true residual |A x - rhs| / |rhs|
     iterations: int
     converged: bool
     solver: str            # "cg" (g >= 0) or "bicgstab"
@@ -187,10 +181,11 @@ def constant_field(grid: PolarGrid, value: float) -> DiscreteField:
     return DiscreteField(grid, np.full((grid.n_r, grid.n_theta), float(value)), float(value))
 
 
-def laplace_beltrami_apply(grid: PolarGrid, u: DiscreteField) -> DiscreteField:
+def laplace_beltrami_apply(u: DiscreteField) -> DiscreteField:
     """Second-order divergence-form Laplacian: the rows of the assembled
     g = 0, f = 0 system, whose A x - rhs is -Lap u times the node weights.
     The boundary ring is left zero (no one-sided closure there)."""
+    grid = u.grid
     A, rhs = assemble_system(grid, None, constant_field(grid, 0.0), u.values[-1])
     lap = rhs - A @ np.concatenate([[u.pole], u.values[:-1].ravel()])
     out = np.zeros_like(u.values)
@@ -234,7 +229,7 @@ def assemble_system(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
     return A, rhs
 
 
-def mode_preconditioner(grid: PolarGrid, g: DiscreteField) -> LinearOperator:
+def mode_preconditioner(g: DiscreteField) -> LinearOperator:
     """Exact inverse of the theta-averaged system (a, b and g w replaced by
     their ring means), which is A itself for a radial metric and radial g.
 
@@ -243,12 +238,15 @@ def mode_preconditioner(grid: PolarGrid, g: DiscreteField) -> LinearOperator:
     pole is row 0 of every mode, coupled by -a_0 sqrt(n_theta) to mode 0 of
     ring 0 only (a unit row elsewhere).  Stacked mode-major with zero coupling,
     the modes form one tridiagonal that LAPACK factors once per solve."""
-    geo, n_t = geometry(grid), grid.n_theta
-    a, n, M = geo.a_bar, grid.n_r - 1, geo.symbols.size
+    grid = g.grid
+    geo, n_t, n = geometry(grid), grid.n_theta, grid.n_r - 1
+    a, b = geo.a.mean(axis=1), geo.b[:-1].mean(axis=1)
+    M = n_t // 2 + 1  # modes m = 0..n_theta/2; lam_m is the angular difference's symbol
+    lam = 2 - 2 * np.cos(grid.dtheta * np.arange(M))
     d = np.ones((M, n + 1))
     d[0, 0] = n_t * a[0] + g.pole * geo.pole_volume
     gw = (g.values[:-1] * geo.weights[:-1]).mean(axis=1)
-    d[:, 1:] = a[:-1] + a[1:] + gw + geo.symbols[:, None] * geo.b_bar
+    d[:, 1:] = a[:-1] + a[1:] + gw + lam[:, None] * b
     e = np.zeros((M, n + 1))         # e[m, i] couples row i to row i + 1 of mode m
     e[0, 0] = -a[0] * np.sqrt(n_t)
     e[:, 1:-1] = -a[1:-1]
@@ -326,7 +324,7 @@ def solve_dirichlet(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
     if maxiter is None:
         maxiter = 40 * int(np.sqrt(A.shape[0])) + 2000
     # Jacobi (the inverse diagonal) for cg, the theta-mode solve for bicgstab
-    precond = 1.0 / A.diagonal() if spd else mode_preconditioner(grid, g)
+    precond = 1.0 / A.diagonal() if spd else mode_preconditioner(g)
     solver = cg if spd else bicgstab
     setup_end = time.perf_counter()
     x, info = solver(A, rhs, rtol=tol, atol=0.0, maxiter=maxiter, M=precond, callback=cb)
@@ -343,7 +341,7 @@ def solve_dirichlet(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
     return DiscreteField(grid, vals, float(x[0])), report
 
 
-def gradient_l2(grid: PolarGrid, u: DiscreteField) -> float:
+def gradient_l2(u: DiscreteField) -> float:
     """Metric-weighted H1 seminorm via midpoint face differences.
 
     With zero boundary data this is sqrt(x.A x) of the assembled g = 0
@@ -353,7 +351,7 @@ def gradient_l2(grid: PolarGrid, u: DiscreteField) -> float:
     right-hand side, b the boundary data) cancels only to roundoff: for
     u = 3 at 16x16 it gives 5.7e-13, so 7.5e-7 after the square root,
     where a constant field must have gradient exactly 0."""
-    geo = geometry(grid)
+    geo = geometry(u.grid)
     v = u.values
     total = float(np.sum(geo.a[0] * (v[0] - u.pole) ** 2))
     total += float(np.sum(geo.a[1:] * (v[1:] - v[:-1]) ** 2))
@@ -361,7 +359,7 @@ def gradient_l2(grid: PolarGrid, u: DiscreteField) -> float:
     return float(np.sqrt(total))
 
 
-def lq_norm(grid: PolarGrid, u: DiscreteField, q: float) -> float:
+def lq_norm(u: DiscreteField, q: float) -> float:
     vals, meas = u.quadrature()
     return float(np.sum(np.abs(vals) ** q * meas)) ** (1.0 / q)
 

@@ -90,9 +90,7 @@ class StepProfile:
         if end == 0.0:
             return 0.0
         knots = np.union1d(self.breakpoints, other.breakpoints)
-        knots = knots[knots <= end]
-        if knots[-1] < end:
-            knots = np.append(knots, end)
+        knots = knots[knots <= end]  # end is the last breakpoint of one of the two
         mids = 0.5 * (knots[:-1] + knots[1:])
         return float(np.sum(self(mids) * other(mids) * np.diff(knots)))
 

@@ -130,7 +130,13 @@ class TestExitCodes:
         ('"f": {"kind": "bumps", "bumps": [{"amp": 1, "k": "4"}]}', "k"),
         ('"g": {"kind": "random_bumps", "count": "2"}', "count"),
         ('"boundary": {"kind": "fourier", "modes": 2.5}', "modes"),
-    ], ids=["bump-without-k", "string-k", "string-count", "fractional-modes"])
+        # modes above n_theta // 2 alias onto resolved ones
+        ('"boundary": {"kind": "fourier", "modes": 9}', "modes"),
+        ('"seed": -3, "f": {"kind": "random_bumps", "count": 2}', "seed"),
+        # the boundary's seed is the case seed + 2, which numpy would accept
+        ('"seed": -1, "boundary": {"kind": "fourier"}', "seed"),
+    ], ids=["bump-without-k", "string-k", "string-count", "fractional-modes", "aliased-modes",
+            "negative-seed-bumps", "negative-seed-fourier"])
     def test_malformed_spec_one_line(self, tmp_path, capsys, spec, key):
         path = tmp_path / "case.json"
         path.write_text(f'{{"n_r": 16, "n_theta": 16, {spec}}}')
@@ -186,6 +192,13 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         if argv[-2:] in (["--seed", "-1"], ["--cases", "-1"]):  # refused at parse time, by name
             assert f"argument {argv[-2]}: " in err
+
+    @pytest.mark.parametrize("name", ["perturbedXYZ", "perturbed", "perturbed:", "perturbed:abc",
+                                      "perturbedX:0.1"])
+    def test_unknown_metric_one_line(self, capsys, name):
+        # only perturbed:<eps> names the perturbed family; there is no default eps
+        assert main(["verify-geometry", "--metric", name, "--A", "1"]) == 1
+        assert capsys.readouterr().err == f"error: unknown metric {name!r}\n"
 
     @pytest.mark.parametrize("rows", [
         [[1, {}], [2, 3]],
@@ -298,15 +311,16 @@ class TestExitCodes:
         fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
                   for cls in (estimates.BmoDualityResult, estimates.GlobalEstimateResult,
                               estimates.CounterexampleRun, surface.FluxExponentFit,
-                              surface.IsoperimetricEstimate)}
+                              surface.IsoperimetricEstimate, pde.SolveReport)}
         assert fields == {
             "BmoDualityResult": ["lhs", "pairing_ratio", "naive_bound"],
             "GlobalEstimateResult": ["max_principle", "ratio", "sup_u", "ladder"],
             "CounterexampleRun": ["k", "u0_raw", "u0_standard", "zygmund", "l1", "mean",
-                                  "min_radius", "size_bound_minimal", "atom_in_6k",
-                                  "inner_lower_bound"],
+                                  "size_bound_minimal", "atom_in_6k", "inner_lower_bound"],
             "FluxExponentFit": ["values", "exponent", "target"],
             "IsoperimetricEstimate": ["A_iso", "A_curv", "volumes", "lengths"],
+            # `solve` writes these as its JSON keys
+            "SolveReport": ["residual", "iterations", "converged", "solver", "setup_s", "solve_s"],
         }
 
     def test_report_passthrough(self, tmp_path, capsys):
@@ -351,6 +365,15 @@ class TestSubcommands:
         monkeypatch.setattr(cli, "rearrange", counted)
         assert main(["verify-norms"]) == 0
         assert calls == [200]
+
+    def test_zygmund_dominates_l1_checks_the_norm(self, tmp_path, capsys):
+        # a constant field is the equality case: int f* ln(|X|/t) dt = int f* dt
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps([[1.0, 1.0], [1.0, 1.0]]))
+        assert main(["verify-norms", "--input", str(path)]) == 0
+        row = json.loads(capsys.readouterr().out)[-1]
+        assert row["name"] == "zygmund_dominates_l1" and row["pass"]
+        assert (row["lhs"], row["rhs"]) == pytest.approx((2.0, 2.0), rel=1e-12)
 
     def test_verify_norms_input(self, tmp_path, capsys):
         path = tmp_path / "field.json"

@@ -114,6 +114,14 @@ class TestExperimentCase:
         with pytest.raises(ValueError, match=f"'{key}'"):
             estimates.resolve_boundary(grid, spec)
 
+    def test_fourier_modes_end_at_nyquist(self):
+        # mode n_theta / 2 is the last one the grid resolves; higher ones alias
+        grid = pde.PolarGrid(surface.flat(), 16, 16, 1.0)
+        assert np.all(np.isfinite(estimates.resolve_boundary(grid, {"kind": "fourier",
+                                                                    "modes": 8})))
+        with pytest.raises(ValueError, match="'modes': 9 exceeds n_theta // 2 = 8"):
+            estimates.resolve_boundary(grid, {"kind": "fourier", "modes": 9})
+
     def test_support_restriction(self):
         grid = pde.PolarGrid(surface.flat(), 16, 16, 2.0)
         f = estimates.resolve_field(grid, {"kind": "constant", "value": 1.0,
@@ -168,7 +176,7 @@ class TestCounterexample:
         assert run.mean == 0.0
 
     def test_growth_and_atom_stability(self):
-        runs = estimates.counterexample_series((16, 32, 64), n_local=128)
+        runs = [estimates.counterexample_family(k, n_local=128) for k in (16, 32, 64)]
         zygs = [r.zygmund for r in runs]
         assert zygs[0] < zygs[1] < zygs[2]
         sizes = [r.size_bound_minimal for r in runs]
@@ -183,7 +191,8 @@ class TestCounterexample:
     def test_support_radius_scales(self):
         r16 = estimates.counterexample_family(16, n_local=128)
         r64 = estimates.counterexample_family(64, n_local=128)
-        assert r16.min_radius * 16 == pytest.approx(r64.min_radius * 64, rel=1e-12)
+        assert r16.atom_in_6k.min_radius * 16 == pytest.approx(r64.atom_in_6k.min_radius * 64,
+                                                              rel=1e-12)
         # the support reaches past the 6/k ball of the nominal atom statement
         assert not r64.atom_in_6k.support_ok
 
@@ -207,9 +216,9 @@ class TestCounterexampleCells:
     def test_pinned_fields(self, k):
         run = estimates.counterexample_family(k, n_local=128)
         want = self.PINNED[k]
-        for name in ("zygmund", "l1", "mean", "min_radius", "size_bound_minimal",
-                     "inner_lower_bound"):
+        for name in ("zygmund", "l1", "mean", "size_bound_minimal", "inner_lower_bound"):
             assert getattr(run, name) == want[name], name
+        assert run.atom_in_6k.min_radius == want["min_radius"]
         for name in ("u0_raw", "u0_standard"):
             assert getattr(run, name) == pytest.approx(want[name], rel=1e-14, abs=0.0), name
 
@@ -451,7 +460,7 @@ class TestGlobalPipeline:
         grid = pde.PolarGrid(surface.flat(), 96, 32, 1.0)
         R, _ = grid.mesh()
         u = pde.DiscreteField(grid, 1 - R**2, 1.0)
-        v = estimates.sobolev_check(grid, u, 2.0, 1 / (4 * np.pi))
+        v = estimates.sobolev_check(u, 2.0, 1 / (4 * np.pi))
         assert v.lhs == pytest.approx(np.sqrt(np.pi / 3), rel=1e-2)
         assert v.rhs == pytest.approx(np.sqrt(2 * np.pi) / 2, rel=1e-2)
         assert v.passed
@@ -460,15 +469,15 @@ class TestGlobalPipeline:
         grid = pde.PolarGrid(surface.flat(), 16, 16, 1.0)
         u = pde.constant_field(grid, 1.0)
         with pytest.raises(ValueError, match="boundary"):
-            estimates.sobolev_check(grid, u, 2.0, 1.0)
+            estimates.sobolev_check(u, 2.0, 1.0)
 
     def test_sobolev_q1_needs_enlarged_constant(self):
         # at q = 1 the bound fails with A = A_iso but holds with A = 4 A_iso
         grid = pde.PolarGrid(surface.flat(), 96, 32, 1.0)
         R, _ = grid.mesh()
         u = pde.DiscreteField(grid, 1 - R**2, 1.0)
-        tight = estimates.sobolev_check(grid, u, 1.0, 1 / (4 * np.pi))
-        safe = estimates.sobolev_check(grid, u, 1.0, 1 / np.pi)
+        tight = estimates.sobolev_check(u, 1.0, 1 / (4 * np.pi))
+        safe = estimates.sobolev_check(u, 1.0, 1 / np.pi)
         assert not tight.passed
         assert safe.passed
 

@@ -56,7 +56,7 @@ class TestOperator:
         g = flat_grid(24, 24)
         R, _ = g.mesh()
         u = pde.DiscreteField(g, 1 - R**2, 1.0)
-        lap = pde.laplace_beltrami_apply(g, u)
+        lap = pde.laplace_beltrami_apply(u)
         assert np.max(np.abs(lap.values[:-1] + 4.0)) < 1e-9
         assert lap.pole == pytest.approx(-4.0, abs=1e-9)
 
@@ -79,7 +79,7 @@ class TestOperator:
             utt = y**2 * uxx - 2 * x * y * uxy + x**2 * uyy - x * ux - y * uy
             G, G_r, G_t = metric.G(R, T), metric.dG(R, T), -0.1 * R**3 * np.sin(T)
             exact = urr + G_r / G * ur + utt / G**2 - G_t * ut / G**3
-            lap = pde.laplace_beltrami_apply(grid, pde.DiscreteField(grid, c, 1.0))
+            lap = pde.laplace_beltrami_apply(pde.DiscreteField(grid, c, 1.0))
             # at the pole the metric is flat to first order: Lap u(0) = u_xx + u_yy = -5
             errors.append(max(abs(lap.pole + 5.0), np.max(np.abs(lap.values[:-1] - exact[:-1]))))
         assert 1.7 <= pde.convergence_order(errors, ns) <= 2.3
@@ -109,7 +109,7 @@ class TestOperator:
         _, rep = pde.solve_dirichlet(g, None, pde.constant_field(g, -4.0),
                                      np.zeros(16), maxiter=1)
         assert not rep.converged
-        assert rep.residual_norm > 0
+        assert rep.residual > 0
 
     def test_report_times(self):
         # set-up (assembly, preconditioner) and Krylov loop are timed apart on both paths
@@ -202,7 +202,7 @@ class TestModePreconditioner:
             g = pde.field_from_function(grid, gfun)
             A, _ = pde.assemble_system(grid, g, pde.constant_field(grid, 0.0), np.zeros(n_theta))
             x = np.random.default_rng(3).normal(size=A.shape[0])
-            got = pde.mode_preconditioner(grid, g).matvec(A @ x)
+            got = pde.mode_preconditioner(g).matvec(A @ x)
             assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
 
     def test_matches_direct_solve(self):
@@ -241,7 +241,7 @@ class TestModePreconditioner:
                 u, rep = pde.solve_dirichlet(grid, pde.constant_field(grid, value), f,
                                              np.cos(grid.theta_nodes), tol=1e-10)
                 assert np.all(np.isfinite(u.values)) and np.isfinite(u.pole)
-                assert rep.converged == (rep.residual_norm <= 1e-10)
+                assert rep.converged == (rep.residual <= 1e-10)
 
     def test_zero_pivot_is_one_line_error(self, monkeypatch):
         # an exactly singular theta-averaged operator (dgttrf info > 0) ends
@@ -263,7 +263,7 @@ class TestModePreconditioner:
         u, rep = pde.solve_dirichlet(grid, pde.constant_field(grid, -5.783185),
                                      pde.constant_field(grid, -4.0), 0.0, tol=1e-10)
         assert np.all(np.isfinite(u.values)) and np.isfinite(u.pole)
-        assert rep.residual_norm > 1e-10
+        assert rep.residual > 1e-10
         assert not rep.converged
 
 
@@ -326,7 +326,7 @@ class TestAssembly:
         u.values[-1] = 0.3 + 0.5 * np.cos(th) - 0.2 * np.sin(2 * th)
         A, rhs = pde.assemble_system(grid, g, f, u.values[-1])
         got = A @ np.concatenate([[u.pole], u.values[:-1].ravel()]) - rhs
-        lap = pde.laplace_beltrami_apply(grid, u)
+        lap = pde.laplace_beltrami_apply(u)
         w = grid.metric.G(*grid.mesh()) * grid.dr * grid.dtheta
         want = np.concatenate([
             [grid.pole_volume * (-lap.pole + g.pole * u.pole + f.pole)],
@@ -350,22 +350,22 @@ class TestNorms:
         g = flat_grid(128, 32)
         R, _ = g.mesh()
         u = pde.DiscreteField(g, 1 - R**2, 1.0)
-        assert pde.gradient_l2(g, u) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-3)
+        assert pde.gradient_l2(u) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-3)
 
     def test_gradient_linear_mode(self):
         g = flat_grid(128, 256)
         R, T = g.mesh()
         u = pde.DiscreteField(g, R * np.cos(T), 0.0)
-        assert pde.gradient_l2(g, u) == pytest.approx(np.sqrt(np.pi), rel=2e-2)
+        assert pde.gradient_l2(u) == pytest.approx(np.sqrt(np.pi), rel=2e-2)
 
     def test_gradient_constant_zero(self):
         g = flat_grid(16, 16)
-        assert pde.gradient_l2(g, pde.constant_field(g, 3.0)) == 0.0
+        assert pde.gradient_l2(pde.constant_field(g, 3.0)) == 0.0
 
     def test_lq_norm_constant(self):
         g = flat_grid(64, 64)
         u = pde.constant_field(g, 2.0)
-        assert pde.lq_norm(g, u, 2.0) == pytest.approx(2 * np.sqrt(np.pi), rel=1e-4)
+        assert pde.lq_norm(u, 2.0) == pytest.approx(2 * np.sqrt(np.pi), rel=1e-4)
 
     def test_field_norms(self):
         g = flat_grid(64, 64)
