@@ -82,12 +82,10 @@ def _load_samples(path) -> WeightedSamples:
 
 def _emit(verdicts, args, series=None):
     fmt, out = args.format, args.out
-    if fmt == "json" and out is None:
-        print(json.dumps([v.to_dict() for v in verdicts], indent=2, sort_keys=True))
+    if fmt == "json":
+        report.write_json(verdicts, out)
     elif out is None:
         raise InputError(f"{fmt} output requires --out")
-    elif fmt == "json":
-        report.write_json(verdicts, out)
     elif fmt == "csv":
         report.write_csv(verdicts, out)
     else:
@@ -143,14 +141,8 @@ def cmd_verify_norms(args) -> int:
 def cmd_solve(args) -> int:
     case = estimates.ExperimentCase.from_dict(_load_json(args.case))
     sol = estimates.solve_case(case, tol=args.solver_tol)
-    payload = {"case": case.to_dict(), "pole": sol.u.pole, "values": sol.u.values.tolist(),
-               **asdict(sol.report)}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out is None:
-        print(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    report.write_json({"case": case.to_dict(), "pole": sol.u.pole,
+                       "values": sol.u.values.tolist(), **asdict(sol.report)}, args.out)
     print(f"{'PASS' if sol.report.converged else 'FAIL'} solve solver={sol.report.solver} "
           f"residual={sol.report.residual:.3g} iters={sol.report.iterations} "
           f"setup_s={sol.report.setup_s:.3g} solve_s={sol.report.solve_s:.3g}",
@@ -297,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cases", type=int, default=100)
     sp.add_argument("--n-r", type=int, default=32)
     sp.add_argument("--n-theta", type=int, default=48)
-    sp.add_argument("--solver-tol", type=float, default=1e-10)
+    sp.add_argument("--solver-tol", type=float, default=estimates.CORPUS_TOL)
     common(sp, seed=True)
     sp.set_defaults(func=cmd_interior)
 

@@ -260,8 +260,11 @@ def random_interior_case(seed: int, n_r: int = 32, n_theta: int = 48,
     )
 
 
+CORPUS_TOL = 1e-9  # the interior corpus's solver tolerance, also `interior`'s default
+
+
 def run_interior_corpus(n_cases: int = 100, seed: int = 0, n_r: int = 32,
-                        n_theta: int = 48, solver_tol: float = 1e-9):
+                        n_theta: int = 48, solver_tol: float = CORPUS_TOL):
     """Measured interior constant (sup of per-case ratios) over a random
     corpus of flat and perturbed-metric cases with g >= 0."""
     if n_cases < 1:
@@ -365,18 +368,14 @@ class BmoDualityResult:
     naive_bound: float
 
 
-def log_kernel_samples(rho: float) -> WeightedSamples:
-    """ln(rho/|x|) chi_{B_rho} sampled on a flat polar grid over B_{2 rho}."""
-    base = surface.sample_ball(surface.flat(), 2 * rho, 192, 128)
-    d = np.hypot(base.positions[:, 0], base.positions[:, 1])
-    vals = np.where(d < rho, np.log(rho / np.maximum(d, 1e-300)), 0.0)
-    return WeightedSamples(vals, base.measures, base.positions)
-
-
 def kernel_bmo_estimate(rho: float) -> float:
-    """BMO lower bound for the truncated log kernel over a dyadic ball family
+    """BMO lower bound for the truncated log kernel ln(rho/|x|) chi_{B_rho},
+    sampled on a flat polar grid over B_{2 rho}, over a dyadic ball family
     about the origin; scale-invariant by construction."""
-    samples = log_kernel_samples(rho)
+    base = surface.sample_ball(surface.flat(), 2 * rho, 192, 128)
+    d = base.distances((0.0, 0.0))
+    samples = WeightedSamples(np.where(d < rho, np.log(rho / np.maximum(d, 1e-300)), 0.0),
+                              base.measures, base.positions)
     family = []
     for m in range(4):
         rad = rho / 2**m
@@ -389,16 +388,12 @@ def kernel_bmo_estimate(rho: float) -> float:
 def bmo_duality_check(f: WeightedSamples, x0, rho: float) -> BmoDualityResult:
     """Pairing of a mean-zero f with the truncated log kernel: the duality
     route (atom proxy) versus the divergent naive sup bound."""
-    if f.positions is None:
-        raise ValueError("samples carry no positions")
+    d = f.distances(x0)
     mean = float(np.sum(f.values * f.measures))
     scale = float(np.sum(np.abs(f.values) * f.measures)) + 1e-300
     if abs(mean) > 1e-8 * scale:
         raise ValueError("pairing requires mean-zero data")
-    x0 = np.asarray(x0, dtype=float)
-    d = np.hypot(f.positions[:, 0] - x0[0], f.positions[:, 1] - x0[1])
-    inside = d < rho
-    kern = np.where(inside, np.log(rho / np.maximum(d, 1e-300)), 0.0)
+    kern = np.where(d < rho, np.log(rho / np.maximum(d, 1e-300)), 0.0)
     lhs = abs(float(np.sum(f.values * kern * f.measures)))
     supp = np.abs(f.values) > 0
     # the atomic-norm proxy of a signed blob pair: sup|f| times the area of

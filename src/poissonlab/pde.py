@@ -266,26 +266,27 @@ def mode_preconditioner(g: DiscreteField) -> LinearOperator:
     return LinearOperator((1 + n * n_t,) * 2, matvec=apply, dtype=float)
 
 
-def cg(A, b, *, rtol, atol=0.0, maxiter, M, callback=None):
+def cg(A, b, *, rtol, maxiter, M, callback=None):
     """Preconditioned conjugate gradients from x0 = 0 (Hestenes & Stiefel
     1952, in the form of Barrett et al., Templates, 1994), with z = M r for
     M the inverse of A's diagonal (Jacobi).
 
     The floating-point operations and their order are those of scipy 1.17's
     scipy.sparse.linalg.cg, so x and the iteration count are bitwise scipy's;
-    the stopping test sqrt(r.r) < max(atol, rtol |b|) is bitwise
-    np.linalg.norm.  callback(x) runs once per iteration.  Returns (x, 0) on
-    convergence (zeros for b = 0) and (x, maxiter) when the iterations run
-    out."""
+    the stopping test sqrt(r.r) < rtol |b| is bitwise np.linalg.norm.
+    callback(x) runs once per iteration.  Returns (x, 0) on convergence
+    (zeros for b = 0), (x, maxiter) when the iterations run out, and the last
+    (finite) iterate with -1 on breakdown: r.z or p.Ap exactly 0, where scipy
+    would divide by zero."""
     bnorm = np.sqrt(np.dot(b, b))
     if bnorm == 0:
         return np.zeros_like(b), 0
-    atol = max(float(atol), rtol * bnorm)
+    bound = rtol * bnorm
     x, r = np.zeros_like(b), b.copy()
     z, t = np.empty_like(b), np.empty_like(b)
     p = rho_prev = None
     for _ in range(maxiter):
-        if np.sqrt(np.dot(r, r)) < atol:
+        if np.sqrt(np.dot(r, r)) < bound:
             return x, 0
         np.multiply(M, r, out=z)   # the preconditioner: z = M r
         rho = np.dot(r, z)
@@ -295,7 +296,10 @@ def cg(A, b, *, rtol, atol=0.0, maxiter, M, callback=None):
             p *= rho / rho_prev
             p += z
         q = A @ p
-        alpha = rho / np.dot(p, q)
+        pq = np.dot(p, q)
+        if rho == 0 or pq == 0:  # a zero test, not a sign test: M need not be definite
+            return x, -1
+        alpha = rho / pq
         x += np.multiply(alpha, p, out=t)
         r -= np.multiply(alpha, q, out=t)
         rho_prev = rho
@@ -305,7 +309,7 @@ def cg(A, b, *, rtol, atol=0.0, maxiter, M, callback=None):
 
 
 def solve_dirichlet(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
-                    boundary, tol: float = 1e-10, maxiter: int | None = None):
+                    boundary, tol: float = 1e-10):
     """Solve Lap u = g u + f with Dirichlet data on r = r_max."""
     if not (np.isfinite(tol) and tol > 0):  # no iterate meets a tolerance <= 0
         raise ValueError(f"solver tolerance must be finite and positive, got {tol}")
@@ -321,13 +325,12 @@ def solve_dirichlet(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
         count[0] += 1
 
     spd = g is None or (np.min(g.values) >= 0 and g.pole >= 0)
-    if maxiter is None:
-        maxiter = 40 * int(np.sqrt(A.shape[0])) + 2000
     # Jacobi (the inverse diagonal) for cg, the theta-mode solve for bicgstab
     precond = 1.0 / A.diagonal() if spd else mode_preconditioner(g)
     solver = cg if spd else bicgstab
     setup_end = time.perf_counter()
-    x, info = solver(A, rhs, rtol=tol, atol=0.0, maxiter=maxiter, M=precond, callback=cb)
+    x, info = solver(A, rhs, rtol=tol, maxiter=40 * int(np.sqrt(A.shape[0])) + 2000,
+                     M=precond, callback=cb)
     solve_s = time.perf_counter() - setup_end
     rnorm = float(np.linalg.norm(A @ x - rhs))
     bnorm = float(np.linalg.norm(rhs))
@@ -364,20 +367,16 @@ def lq_norm(u: DiscreteField, q: float) -> float:
     return float(np.sum(np.abs(vals) ** q * meas)) ** (1.0 / q)
 
 
-def log_potential(f: WeightedSamples, eval_points, correct_singular: bool = True) -> np.ndarray:
+def log_potential(f: WeightedSamples, eval_points) -> np.ndarray:
     """Newtonian potential u(x) = (1/2pi) int ln|x-y| f(y) dy by midpoint cell
     quadrature; cells containing the evaluation point use the exact radial
     integral over an equal-area disk."""
-    if f.positions is None:
-        raise ValueError("samples carry no positions")
     pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
     radii = np.sqrt(f.measures / np.pi)
     out = np.empty(pts.shape[0])
     for k, p in enumerate(pts):
-        d = np.hypot(f.positions[:, 0] - p[0], f.positions[:, 1] - p[1])
+        d = f.distances(p)
         near = d < radii
-        if np.any(near) and not correct_singular:
-            raise ValueError("evaluation point inside a source cell; enable the singular correction")
         far = ~near if np.any(near) else slice(None)  # no copies when no cell contains p
         acc = float(np.sum(f.values[far] * f.measures[far] * np.log(np.maximum(d[far], 1e-300))))
         if np.any(near):

@@ -52,6 +52,13 @@ class WeightedSamples:
     def scaled(self, c: float) -> "WeightedSamples":
         return WeightedSamples(self.values * c, self.measures, self.positions)
 
+    def distances(self, center) -> np.ndarray:
+        """Planar distance of each cell position from center (x, y)."""
+        if self.positions is None:
+            raise ValueError("samples carry no positions")
+        cx, cy = center
+        return np.hypot(self.positions[:, 0] - cx, self.positions[:, 1] - cy)
+
 
 @dataclass(frozen=True)
 class StepProfile:
@@ -148,16 +155,12 @@ def direct_pairing(f: WeightedSamples, h: WeightedSamples) -> float:
 def bmo_norm(f: WeightedSamples, ball_family) -> float:
     """Sup of mean oscillation over a finite ball family; a lower bound of the
     true BMO norm.  Needs cell positions."""
-    if f.positions is None:
-        raise ValueError("samples carry no positions")
     balls = list(ball_family)
     if not balls:
         raise ValueError("empty ball family")
     best = 0.0
     for center, radius in balls:
-        center = np.asarray(center, dtype=float)
-        d = np.hypot(f.positions[:, 0] - center[0], f.positions[:, 1] - center[1])
-        mask = d <= radius
+        mask = f.distances(center) <= radius
         if not np.any(mask):
             continue
         w = f.measures[mask]
@@ -172,11 +175,8 @@ def bmo_norm(f: WeightedSamples, ball_family) -> float:
 def atom_check(f: WeightedSamples, ball) -> AtomVerdict:
     """Check the three atom properties against a candidate ball: support
     containment, zero mean, and sup|f| * |B| <= 1."""
-    if f.positions is None:
-        raise ValueError("samples carry no positions")
     center, radius = ball
-    center = np.asarray(center, dtype=float)
-    d = np.hypot(f.positions[:, 0] - center[0], f.positions[:, 1] - center[1])
+    d = f.distances(center)
     supp = f.values != 0.0
     min_radius = float(d[supp].max()) if np.any(supp) else 0.0
     support_ok = bool(min_radius <= radius)

@@ -38,11 +38,14 @@ class VerdictReport:
         }
 
 
-def write_json(verdicts, path) -> None:
-    rows = [v.to_dict() for v in verdicts]
-    with open(path, "w") as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_json(doc, path) -> None:
+    """Indented, key-sorted JSON of doc (verdicts as rows) to path, or stdout for None."""
+    text = json.dumps(doc, indent=2, sort_keys=True, default=VerdictReport.to_dict)
+    if path is None:
+        print(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
 
 
 def write_csv(verdicts, path) -> None:

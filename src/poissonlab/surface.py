@@ -272,10 +272,7 @@ def kernel_pairing_check(metric: MetricProfile, f: WeightedSamples, R: float,
                          A: float) -> VerdictReport:
     """int |f| h dV against A * ||f||*_{L ln L(B_R)}; equality for constant f
     on the flat metric with A = 1/(4 pi)."""
-    if f.positions is None:
-        raise ValueError("samples carry no positions")
-    dist = np.hypot(f.positions[:, 0], f.positions[:, 1])
-    h = kernel_weight_profile(metric, R, dist)
+    h = kernel_weight_profile(metric, R, f.distances((0.0, 0.0)))
     lhs = float(np.sum(np.abs(f.values) * h * f.measures))
     rhs = A * zygmund_norm(f, f.total_measure)
     return VerdictReport("kernel_pairing", lhs, rhs, 1e-6)

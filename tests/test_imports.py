@@ -1,5 +1,6 @@
-"""Static checks that every module of the package uses each name it imports
-and that every function reads each parameter it takes."""
+"""Static checks that every module of the package uses each name it imports,
+that every function reads each parameter it takes, and that the defaulted
+parameters of public functions are the pinned set."""
 import ast
 from pathlib import Path
 
@@ -38,6 +39,23 @@ def _unused_parameters(source: str) -> list:
     return sorted(out)
 
 
+def _defaulted_parameters(source: str) -> set:
+    """(function, parameter) for each parameter with a default of a public
+    module-level function or method (named Class.method); nested functions
+    are not counted."""
+    out = set()
+    for node in ast.parse(source).body:
+        cls = node.name + "." if isinstance(node, ast.ClassDef) else ""
+        for fn in node.body if cls else [node]:
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                a = fn.args
+                positional = [*a.posonlyargs, *a.args]
+                named = positional[len(positional) - len(a.defaults):]
+                named += [k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                out |= {(cls + fn.name, p.arg) for p in named}
+    return out
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
@@ -63,3 +81,49 @@ def test_unused_parameter_is_caught():
               "        return (lambda z: 0)(x)\n")
     assert _unused_parameters(source) == [
         (1, "f", "args"), (1, "f", "b"), (1, "f", "kw"), (6, "m", "y"), (7, "<lambda>", "z")]
+
+
+def test_defaulted_parameters_are_pinned():
+    # each default is a settable value; a new one is added here on purpose
+    found = {}
+    for path in MODULES:
+        for fn, param in sorted(_defaulted_parameters(path.read_text())):
+            found.setdefault(f"{path.stem}.{fn}", []).append(param)
+    assert {name: " ".join(params) for name, params in found.items()} == {
+        "cli.main": "argv",
+        "estimates.counterexample_family": "n_local",
+        "estimates.energy_constant": "metric",
+        "estimates.field_zygmund_norm": "radius",
+        "estimates.global_energy_checks": "metric n_r n_theta",
+        "estimates.global_estimate": "n_r n_theta run_ladder",
+        "estimates.harnack_spike_corpus": "ks n_r n_theta",
+        "estimates.manufactured_convergence": "kind resolutions",
+        "estimates.max_principle_corpus": "n_cases n_r n_theta seed",
+        "estimates.random_interior_case": "metric n_r n_theta",
+        "estimates.resolve_boundary": "seed",
+        "estimates.resolve_field": "seed",
+        "estimates.run_interior_corpus": "n_cases n_r n_theta seed solver_tol",
+        "estimates.solve_case": "tol",
+        "pde.DiscreteField.as_samples": "radius",
+        "pde.DiscreteField.l1_norm": "radius",
+        "pde.DiscreteField.min_max": "radius",
+        "pde.DiscreteField.quadrature": "radius",
+        "pde.DiscreteField.sup_norm": "radius",
+        "pde.cg": "callback",
+        "pde.solve_dirichlet": "tol",
+        "report.write_svg": "title xlabel ylabel",
+        "surface.ball_volume": "n_r n_theta",
+        "surface.boundary_length": "n_theta",
+        "surface.curvature_lp_norm": "n_r n_theta",
+        "surface.geometry_bounds_verdicts": "n_r n_theta",
+        "surface.isoperimetric_constant": "n_r n_theta p",
+        "surface.sample_ball": "n_r n_theta",
+    }
+    assert sum(map(len, found.values())) == 52
+
+
+def test_defaulted_parameter_is_caught():
+    source = ("def f(a, b=1, *, c, d=2):\n    pass\n"
+              "def _g(e=3):\n    pass\n"
+              "class K:\n    def m(self, x=4):\n        def inner(y=5):\n            pass\n")
+    assert _defaulted_parameters(source) == {("f", "b"), ("f", "d"), ("K.m", "x")}

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from poissonlab import estimates, pde, surface
 from poissonlab.rearrange import (
     AtomVerdict,
     WeightedSamples,
@@ -40,6 +41,19 @@ class TestWeightedSamples:
     def test_position_shape(self):
         with pytest.raises(ValueError, match="positions"):
             WeightedSamples([1.0, 2.0], [1.0, 1.0], [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("entry", [
+        lambda f: pde.log_potential(f, [(0.0, 0.0)]),
+        lambda f: bmo_norm(f, [((0.0, 0.0), 1.0)]),
+        lambda f: atom_check(f, ((0.0, 0.0), 1.0)),
+        lambda f: estimates.bmo_duality_check(f, (0.0, 0.0), 0.5),
+        lambda f: surface.kernel_pairing_check(surface.flat(), f, 1.0, 1.0),
+    ], ids=["log_potential", "bmo_norm", "atom_check", "bmo_duality_check",
+            "kernel_pairing_check"])
+    def test_distances_need_positions(self, entry):
+        # mean-zero values, so only the missing positions can be refused
+        with pytest.raises(ValueError, match="samples carry no positions"):
+            entry(WeightedSamples([1.0, -1.0], [0.5, 0.5]))
 
     def test_measures(self):
         f = WeightedSamples([1.0, 0.0, -2.0], [0.5, 0.25, 0.125])
