@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import estimates, report, surface
+from . import estimates, pde, report, surface
 from .rearrange import WeightedSamples, direct_pairing, rearrange
 from .report import VerdictReport
 
@@ -173,18 +173,14 @@ def cmd_harnack(args) -> int:
 
 
 def cmd_global(args) -> int:
-    res = estimates.global_estimate({"kind": "constant", "value": -4.0},
-                                    n_r=args.n_r, n_theta=args.n_theta,
-                                    run_ladder=args.ladder)
-    verdicts = [res.max_principle]
-    if res.ladder is not None:
-        verdicts.append(res.ladder["cauchy"])
-    print(f"end-to-end ratio = {res.ratio:.6g}", file=sys.stderr)
+    verdicts, ratio = estimates.global_estimate({"kind": "constant", "value": -4.0},
+                                                args.n_r, args.n_theta, args.ladder)
+    print(f"end-to-end ratio = {ratio:.6g}", file=sys.stderr)
     A = estimates.energy_constant()
     for i in range(args.cases):
         spec = {"kind": "random_bumps", "count": 2, "amp": (0.5, 3.0), "k": (2, 8),
                 "center_r_max": 0.6, "sign": "any", "seed": args.seed * 9973 + i}
-        vs = estimates.global_energy_checks(spec, A=A, n_r=args.n_r, n_theta=args.n_theta)
+        vs = estimates.global_energy_checks(spec, A, args.n_r, args.n_theta)
         verdicts.extend(VerdictReport(v.name, v.lhs, v.rhs, v.tol, f"energy-{i}") for v in vs)
     return _finish(verdicts, args)
 
@@ -282,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="solve one ExperimentCase JSON")
     sp.add_argument("--case", required=True)
     sp.add_argument("--out", default=None, help="output file (default: stdout)")
-    sp.add_argument("--solver-tol", type=float, default=1e-10)
+    sp.add_argument("--solver-tol", type=float, default=pde.SOLVE_TOL)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("interior", help="interior-estimate random corpus")

@@ -218,7 +218,7 @@ class CaseSolution:
     report: pde.SolveReport
 
 
-def solve_case(case: ExperimentCase, tol: float = 1e-10) -> CaseSolution:
+def solve_case(case: ExperimentCase, tol: float = pde.SOLVE_TOL) -> CaseSolution:
     grid = pde.PolarGrid(surface.from_name(case.metric), case.n_r, case.n_theta, case.r_max)
     f = resolve_field(grid, case.f, case.seed)
     gspec = case.g or {"kind": "zero"}
@@ -434,15 +434,22 @@ def random_zero_boundary_field(grid: pde.PolarGrid, seed: int) -> pde.DiscreteFi
     return fld
 
 
-def energy_constant(metric: str = "flat") -> float:
-    """The constant A of the energy chain on B_2: the larger of the probed
-    isoperimetric constant and the curvature L^2 bound of one estimate."""
-    est = surface.isoperimetric_constant(surface.from_name(metric), np.linspace(0.1, 2.0, 8))
+def energy_constant() -> float:
+    """The constant A of the energy chain on B_2 of the flat surface: the
+    larger of the probed isoperimetric constant and the curvature L^2 bound of
+    one estimate."""
+    est = surface.isoperimetric_constant(surface.flat(), np.linspace(0.1, 2.0, 8))
     return max(est.A_iso, est.A_curv)
 
 
-def global_energy_checks(f_spec: dict, A: float, n_r: int = 48, n_theta: int = 64,
-                         metric: str = "flat"):
+def _extended_case(f_spec: dict, n_r: int, n_theta: int, case_id: str) -> ExperimentCase:
+    # f restricted to B_1 (or its own smaller support) and extended by zero to B_2
+    return ExperimentCase(n_r=n_r, n_theta=n_theta, r_max=2.0,
+                          f=dict(f_spec, support_radius=min(f_spec.get("support_radius", 1.0), 1.0)),
+                          R_outer=2.0, R_inner=1.0, case_id=case_id)
+
+
+def global_energy_checks(f_spec: dict, A: float, n_r: int, n_theta: int):
     """Solve Lap v = f (f supported in B_1, extended by zero) on B_2 with zero
     boundary and verify the exponential-integrability chain:
     (i)  int (e^{|v| / (2e sqrt(A) ||grad v||)} - 1) <= V(B_2)
@@ -451,9 +458,7 @@ def global_energy_checks(f_spec: dict, A: float, n_r: int = 48, n_theta: int = 6
     with 20% headroom in (ii) and (iii).  A is the surface's constant, one per
     run (see energy_constant).
     """
-    case = ExperimentCase(metric=metric, n_r=n_r, n_theta=n_theta, r_max=2.0,
-                          f=dict(f_spec, support_radius=min(f_spec.get("support_radius", 1.0), 1.0)),
-                          R_outer=2.0, R_inner=1.0, case_id="global-energy")
+    case = _extended_case(f_spec, n_r, n_theta, "global-energy")
     sol = solve_case(case)
     v, V = sol.u, sol.grid.total_measure
     C0 = 2.0 * np.e * np.sqrt(A)
@@ -481,57 +486,34 @@ def global_energy_checks(f_spec: dict, A: float, n_r: int = 48, n_theta: int = 6
     return [v_jn, v_re, v_en]
 
 
-@dataclass
-class GlobalEstimateResult:
-    max_principle: VerdictReport
-    ratio: float
-    sup_u: float
-    ladder: dict | None
-
-
 def _cutoff_eta_n(grid: pde.PolarGrid, n: int) -> np.ndarray:
     # radial cutoff: 1 on B_{1-1/n}, 0 outside B_1 (smoothstep is 0 for r >= 1)
     return np.asarray(smoothstep(n * (1.0 - grid.r_nodes)))
 
 
-def global_estimate(f_spec: dict, n_r: int = 48, n_theta: int = 64,
-                    run_ladder: bool = False) -> GlobalEstimateResult:
+def global_estimate(f_spec: dict, n_r: int, n_theta: int, run_ladder: bool):
     """The whole zero-boundary pipeline: solve u on B_1, extend f by zero and
     solve v on B_2, check the maximum-principle comparison
-    ||u||_C(B_1) <= 2 ||v||_C(B_1) + 0.01 and report ||u||_C / ||f||*.  The
-    optional ladder cuts f off at 1 - 1/n for n = 4, 8, 16."""
+    ||u||_C(B_1) <= 2 ||v||_C(B_1) + 0.01 and return the verdicts with
+    ||u||_C / ||f||*.  The optional ladder cuts f off at 1 - 1/n and checks
+    that v_16 - v_8 is bounded by its source's norm."""
     inner = ExperimentCase(n_r=n_r, n_theta=n_theta, r_max=1.0, f=dict(f_spec),
                            case_id="global-u")
     sol_u = solve_case(inner)
-    outer = ExperimentCase(n_r=2 * n_r, n_theta=n_theta, r_max=2.0,
-                           f=dict(f_spec, support_radius=1.0),
-                           R_outer=2.0, R_inner=1.0, case_id="global-v")
-    sol_v = solve_case(outer)
+    sol_v = solve_case(_extended_case(f_spec, 2 * n_r, n_theta, "global-v"))
     sup_u = sol_u.u.sup_norm(1.0)
     fnorm = field_zygmund_norm(sol_u.f, 1.0)
-    maxp = VerdictReport("max_principle", sup_u, 2.0 * sol_v.u.sup_norm(1.0) + 1e-2, 0.0,
-                         "global")
-    ratio = sup_u / fnorm if fnorm > 0 else 0.0
-
-    ladder = None
+    verdicts = [VerdictReport("max_principle", sup_u, 2.0 * sol_v.u.sup_norm(1.0) + 1e-2, 0.0,
+                              "global")]
     if run_ladder:
         grid2 = sol_v.grid
-        f2 = sol_v.f
-        fnorm_full = field_zygmund_norm(f2, 1.0)
-        tails = []
-        for n in (4, 8, 16):
-            fn = f2.values * _cutoff_eta_n(grid2, n)[:, None]
-            tails.append(field_zygmund_norm(pde.DiscreteField(grid2, f2.values - fn, 0.0), 1.0))
         # v_16 - v_8 solves the source f (eta_16 - eta_8) with zero data, by linearity
         eta_ab = _cutoff_eta_n(grid2, 16) - _cutoff_eta_n(grid2, 8)
-        dfn = pde.DiscreteField(grid2, f2.values * eta_ab[:, None], 0.0)
+        dfn = pde.DiscreteField(grid2, sol_v.f.values * eta_ab[:, None], 0.0)
         diff, _ = pde.solve_dirichlet(grid2, None, dfn, np.zeros(grid2.n_theta))
-        dnorm = field_zygmund_norm(dfn, 1.0)
-        cauchy = VerdictReport("ladder_cauchy", diff.sup_norm(1.5),
-                               5.0 * dnorm + 1e-9, 0.0, "global")
-        ladder = {"cauchy": cauchy, "tail_ok": tails[-1] <= 1e-2 * fnorm_full
-                  and all(b <= a * (1 + 1e-12) for a, b in zip(tails, tails[1:]))}
-    return GlobalEstimateResult(maxp, ratio, sup_u, ladder)
+        verdicts.append(VerdictReport("ladder_cauchy", diff.sup_norm(1.5),
+                                      5.0 * field_zygmund_norm(dfn, 1.0) + 1e-9, 0.0, "global"))
+    return verdicts, (sup_u / fnorm if fnorm > 0 else 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ from scipy.sparse.linalg import LinearOperator, bicgstab
 from .rearrange import WeightedSamples
 from .surface import MetricProfile, ball_volume
 
+SOLVE_TOL = 1e-10  # the default relative residual of a Dirichlet solve
+
 
 @dataclass(frozen=True)
 class PolarGrid:
@@ -309,7 +311,7 @@ def cg(A, b, *, rtol, maxiter, M, callback=None):
 
 
 def solve_dirichlet(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
-                    boundary, tol: float = 1e-10):
+                    boundary, tol: float = SOLVE_TOL):
     """Solve Lap u = g u + f with Dirichlet data on r = r_max."""
     if not (np.isfinite(tol) and tol > 0):  # no iterate meets a tolerance <= 0
         raise ValueError(f"solver tolerance must be finite and positive, got {tol}")

@@ -51,8 +51,8 @@ def write_json(doc, path) -> None:
 def write_csv(verdicts, path) -> None:
     if not verdicts:
         raise ValueError("nothing to report")
-    fields = ["name", "lhs", "rhs", "ratio", "pass", "tol", "case"]
-    write_table(path, fields, ([v.to_dict()[f] for f in fields] for v in verdicts))
+    rows = [v.to_dict() for v in verdicts]
+    write_table(path, list(rows[0]), (row.values() for row in rows))
 
 
 def write_table(path, header, rows) -> None:

@@ -309,12 +309,11 @@ class TestExitCodes:
     def test_result_fields_are_pinned(self):
         # every field is one that some caller reads; a new one is added here on purpose
         fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
-                  for cls in (estimates.BmoDualityResult, estimates.GlobalEstimateResult,
-                              estimates.CounterexampleRun, surface.FluxExponentFit,
-                              surface.IsoperimetricEstimate, pde.SolveReport)}
+                  for cls in (estimates.BmoDualityResult, estimates.CounterexampleRun,
+                              surface.FluxExponentFit, surface.IsoperimetricEstimate,
+                              pde.SolveReport)}
         assert fields == {
             "BmoDualityResult": ["lhs", "pairing_ratio", "naive_bound"],
-            "GlobalEstimateResult": ["max_principle", "ratio", "sup_u", "ladder"],
             "CounterexampleRun": ["k", "u0_raw", "u0_standard", "zygmund", "l1", "mean",
                                   "size_bound_minimal", "atom_in_6k", "inner_lower_bound"],
             "FluxExponentFit": ["values", "exponent", "target"],

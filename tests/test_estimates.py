@@ -424,24 +424,31 @@ class TestGlobalPipeline:
         assert all(v.passed for v in verdicts)
 
     def test_max_principle_comparison(self):
-        res = estimates.global_estimate({"kind": "constant", "value": -4.0},
-                                        n_r=32, n_theta=48)
-        assert res.max_principle.passed
-        assert res.sup_u == pytest.approx(1.0, abs=1e-6)
+        [maxp], _ = estimates.global_estimate({"kind": "constant", "value": -4.0},
+                                              n_r=32, n_theta=48, run_ladder=False)
+        assert maxp.name == "max_principle"
+        assert maxp.passed
+        assert maxp.lhs == pytest.approx(1.0, abs=1e-6)
+
+    def test_max_principle_compares_with_v_of_the_same_f(self):
+        # f carries its own support radius: v is the solve of that f on B_2
+        spec = {"kind": "constant", "value": -4.0, "support_radius": 0.5}
+        [maxp], _ = estimates.global_estimate(spec, n_r=32, n_theta=48, run_ladder=False)
+        sol = estimates.solve_case(estimates.ExperimentCase(
+            n_r=64, n_theta=48, r_max=2.0, f=dict(spec), R_outer=2.0, R_inner=1.0))
+        assert maxp.rhs == 2.0 * sol.u.sup_norm(1.0) + 1e-2
 
     def test_cutoff_ladder(self):
         spec = {"kind": "bumps", "bumps": [{"amp": 1.0, "k": 32, "center": (0.85, 0.0)}]}
-        res = estimates.global_estimate(spec, n_r=32, n_theta=48, run_ladder=True)
-        lad = res.ladder
-        assert lad is not None
-        assert lad["tail_ok"]
-        assert lad["cauchy"].passed
+        verdicts, _ = estimates.global_estimate(spec, n_r=32, n_theta=48, run_ladder=True)
+        assert [v.name for v in verdicts] == ["max_principle", "ladder_cauchy"]
+        assert verdicts[1].passed
 
     def test_ladder_cauchy_is_difference_of_two_solves(self):
         # ladder_cauchy's lhs, from one solve of f (eta_16 - eta_8), against
         # v_16 - v_8 from the two cutoff solves it stands for
         spec = {"kind": "bumps", "bumps": [{"amp": 1.0, "k": 32, "center": (0.85, 0.0)}]}
-        res = estimates.global_estimate(spec, n_r=32, n_theta=48, run_ladder=True)
+        [_, cauchy], _ = estimates.global_estimate(spec, n_r=32, n_theta=48, run_ladder=True)
         sol = estimates.solve_case(estimates.ExperimentCase(
             n_r=64, n_theta=48, r_max=2.0, f=dict(spec, support_radius=1.0),
             R_outer=2.0, R_inner=1.0))
@@ -452,8 +459,8 @@ class TestGlobalPipeline:
             v[n], _ = pde.solve_dirichlet(grid, None, pde.DiscreteField(grid, fn, f.pole),
                                           np.zeros(grid.n_theta))
         diff = pde.DiscreteField(grid, v[16].values - v[8].values, v[16].pole - v[8].pole)
-        assert res.ladder["cauchy"].name == "ladder_cauchy"
-        assert res.ladder["cauchy"].lhs == pytest.approx(diff.sup_norm(1.5), rel=1e-9)
+        assert cauchy.name == "ladder_cauchy"
+        assert cauchy.lhs == pytest.approx(diff.sup_norm(1.5), rel=1e-9)
 
     def test_sobolev_closed_form(self):
         # u = 1 - r^2, q = 2, A = 1/(4 pi): lhs sqrt(pi/3), rhs sqrt(2 pi)/2
