@@ -74,10 +74,8 @@ def _load_samples(path) -> WeightedSamples:
                            or all(_finite_number(x) for r in rows for x in r)):
         raise InputError(f"{path!r}: rows must be (value, measure) or (value, r, theta, measure) "
                          "arrays of finite numbers")
-    if widths == {2}:
-        return WeightedSamples(arr[:, 0], arr[:, 1])
-    pos = np.stack([arr[:, 1] * np.cos(arr[:, 2]), arr[:, 1] * np.sin(arr[:, 2])], axis=-1)
-    return WeightedSamples(arr[:, 0], arr[:, 3], pos)
+    # no verdict reads positions, so a 4-wide row's (r, theta) go unread
+    return WeightedSamples(arr[:, 0], arr[:, -1])
 
 
 def _emit(verdicts, args, series=None):
@@ -164,7 +162,7 @@ def cmd_harnack(args) -> int:
     ks = [int(s) for s in args.ks.split(",")]
     ratios = estimates.harnack_spike_corpus(ks, n_r=args.n_r, n_theta=args.n_theta)
     med = float(np.median(ratios))
-    verdicts = [VerdictReport(f"harnack_spike_k{k}", r, med * HARNACK_SPREAD, 0.0)
+    verdicts = [VerdictReport(f"harnack_spike_k{k}", r, med * HARNACK_SPREAD)
                 for k, r in zip(ks, ratios)]
     print(f"spike ratios: {np.array2string(ratios, precision=4)} median={med:.4g}",
           file=sys.stderr)
@@ -203,8 +201,8 @@ def cmd_counterexample(args) -> int:
                                            r.size_bound_minimal, r.atom_in_6k.min_radius)]
             for r in runs])
     else:
-        rows = [VerdictReport(f"counterexample_k{r.k}", 0.0, r.u0_raw, 0.0,
-                              f"zygmund={r.zygmund:.6g};atom={r.size_bound_minimal:.6g}")
+        rows = [VerdictReport(f"counterexample_k{r.k}", 0.0, r.u0_raw,
+                              case=f"zygmund={r.zygmund:.6g};atom={r.size_bound_minimal:.6g}")
                 for r in runs]
         _emit(rows, args, series=(np.log(ks).tolist(), [r.u0_raw for r in runs],
                                   "ln k", "|u_k(0)|", "potential growth"))
@@ -221,8 +219,8 @@ def cmd_convergence(args) -> int:
     series = None
     for kind in args.metrics.split(","):
         errors, order = estimates.manufactured_convergence(kind, resolutions)
-        verdicts.append(VerdictReport(f"convergence_order_{kind}", ORDER_RANGE[0], order, 0.0))
-        verdicts.append(VerdictReport(f"convergence_order_{kind}_upper", order, ORDER_RANGE[1], 0.0))
+        verdicts.append(VerdictReport(f"convergence_order_{kind}", ORDER_RANGE[0], order))
+        verdicts.append(VerdictReport(f"convergence_order_{kind}_upper", order, ORDER_RANGE[1]))
         print(f"{kind}: errors {['%.3e' % e for e in errors]} order={order:.3f}",
               file=sys.stderr)
         series = (np.log(resolutions).tolist(), np.log(errors).tolist(),

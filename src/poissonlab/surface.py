@@ -137,7 +137,7 @@ def boundary_length(metric: MetricProfile, r, n_theta: int = 256):
         raise ValueError("radius out of range")
     th = 2 * np.pi * np.arange(n_theta) / n_theta
     vals = metric.G(r[..., None], th)
-    return np.squeeze(vals.mean(axis=-1) * 2 * np.pi)[()]
+    return vals.mean(axis=-1) * 2 * np.pi
 
 
 def ball_volume(metric: MetricProfile, r: float, n_r: int = 512, n_theta: int = 256) -> float:
@@ -148,7 +148,7 @@ def ball_volume(metric: MetricProfile, r: float, n_r: int = 512, n_theta: int = 
     t = np.linspace(0.0, r, n + 1)
     ell = np.empty(n + 1)
     ell[0] = 0.0
-    ell[1:] = np.atleast_1d(boundary_length(metric, t[1:], n_theta))
+    ell[1:] = boundary_length(metric, t[1:], n_theta)
     h = r / n
     wts = np.ones(n + 1)
     wts[1:-1:2] = 4.0
@@ -192,7 +192,7 @@ def isoperimetric_constant(metric: MetricProfile, radii, p: float = 2.0,
     if n_r < 1 or n_theta < 1:
         raise ValueError(f"need n_r >= 1 and n_theta >= 1, got {n_r}, {n_theta}")
     vols = tuple(ball_volume(metric, r, n_r, n_theta) for r in radii)
-    ells = tuple(float(boundary_length(metric, r, n_theta)) for r in radii)
+    ells = tuple(boundary_length(metric, radii, n_theta).tolist())
     return IsoperimetricEstimate(max(v / ell**2 for v, ell in zip(vols, ells)),
                                  curvature_lp_norm(metric, p, n_r, n_theta), vols, ells)
 
@@ -242,7 +242,7 @@ def kernel_weight_profile(metric: MetricProfile, R: float, r_eval) -> np.ndarray
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _GAUSS5_X  # (nseg, 5)
-    ell = np.atleast_2d(boundary_length(metric, nodes.ravel())).reshape(nodes.shape)
+    ell = boundary_length(metric, nodes)
     seg = np.sum(_GAUSS5_W / ell, axis=1) * half
     h_at = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
     return np.interp(r_eval, knots, h_at)
@@ -285,7 +285,7 @@ def kernel_rearrangement_bound(metric: MetricProfile, R: float, A: float) -> Ver
     decreases: h* takes the rings inner first, ring i's level h(r_i) starting
     at t_i, the measure of the rings inside it."""
     n_theta = 256
-    samples = sample_ball(metric, R, 512, n_theta)
+    samples = sample_ball(metric, R, n_theta=n_theta)
     x, y = samples.positions[::n_theta].T  # one node per ring
     vals = kernel_weight_profile(metric, R, np.hypot(x, y))
     t = np.append(0.0, np.cumsum(samples.measures.reshape(-1, n_theta).sum(axis=1))[:-1])

@@ -145,6 +145,20 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert f"'{key}'" in err
 
+    def test_bump_count_capped_before_resolution(self, tmp_path, capsys, monkeypatch):
+        # 10^9 bumps would take about a day to resolve; the cap refuses them unlooped
+        def unreachable(*args):
+            raise AssertionError("the bump loop ran")
+
+        monkeypatch.setattr(estimates, "_random_bumps_spec", unreachable)
+        path = tmp_path / "case.json"
+        path.write_text('{"n_r": 16, "n_theta": 16, '
+                        '"f": {"kind": "random_bumps", "count": 1000000000}}')
+        assert main(["solve", "--case", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "'count'" in err
+
     @pytest.mark.parametrize("argv", [
         ["--kmin", "0"],
         ["--kmin", "16", "--kmax", "8"],
@@ -384,6 +398,20 @@ class TestSubcommands:
         path = tmp_path / "field.json"
         path.write_text(json.dumps(rows))
         assert main(["verify-norms", "--input", str(path)]) == 0
+
+    def test_verify_norms_reads_value_and_measure(self, tmp_path, capsys):
+        # no verdict reads positions: 4-wide rows and their (value, measure)
+        # columns write the same bytes
+        rng = np.random.default_rng([0, 3])
+        rows = np.column_stack([rng.standard_t(3, 2000), rng.uniform(0, 1, 2000),
+                                rng.uniform(0, 2 * np.pi, 2000), rng.uniform(1e-5, 1e-4, 2000)])
+        written = []
+        for name, cols in (("polar", rows), ("plain", rows[:, [0, 3]])):
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}_out.json"
+            path.write_text(json.dumps(cols.tolist()))
+            assert main(["verify-norms", "--input", str(path), "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_verify_norms_bad_rows(self, tmp_path, capsys):
         path = tmp_path / "field.json"

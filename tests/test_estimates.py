@@ -371,6 +371,23 @@ class TestHarnack:
                                         boundary={"kind": "constant", "value": -1.0})
         assert estimates.harnack_ratio(estimates.solve_case(case)) is None
 
+    def test_zero_valued_g_is_g_zero(self):
+        # g judged by its values: a zero-valued g gives the verdict of g = 0, bitwise
+        f = {"kind": "bumps", "bumps": [{"amp": -1.0, "k": 8, "center": (0.3, 0.0)}]}
+        sols = [estimates.solve_case(estimates.ExperimentCase(
+            n_r=16, n_theta=16, f=f, g=g, boundary={"kind": "constant", "value": 1.0}))
+            for g in ({"kind": "zero"}, {"kind": "constant", "value": 0})]
+        assert sols[0].g is None and sols[1].g is not None
+        zero, valued = map(estimates.harnack_ratio, sols)
+        assert (valued.lhs, valued.rhs) == (zero.lhs, zero.rhs)
+
+    def test_spike_ratios_pinned(self):
+        # the default corpus's ratios when each sink was divided by its norm after
+        # resolution; the sink's amp -1/||eta_k||* rounds differently
+        assert estimates.harnack_spike_corpus() == pytest.approx(
+            [0.5345409011410382, 0.5358665642254479, 0.5368580954504591, 0.5389244671570896],
+            rel=1e-13)
+
     def test_requires_zero_g(self):
         case = estimates.ExperimentCase(n_r=16, n_theta=16,
                                         g={"kind": "constant", "value": 1.0})
@@ -437,6 +454,14 @@ class TestGlobalPipeline:
         sol = estimates.solve_case(estimates.ExperimentCase(
             n_r=64, n_theta=48, r_max=2.0, f=dict(spec), R_outer=2.0, R_inner=1.0))
         assert maxp.rhs == 2.0 * sol.u.sup_norm(1.0) + 1e-2
+
+    @pytest.mark.parametrize("run", [
+        lambda spec: estimates.global_energy_checks(spec, 1 / (4 * np.pi), 8, 8),
+        lambda spec: estimates.global_estimate(spec, 8, 8, False),
+    ], ids=["energy_checks", "estimate"])
+    def test_bad_support_radius_names_key(self, run):
+        with pytest.raises(ValueError, match="'support_radius'"):
+            run({"kind": "constant", "value": -4.0, "support_radius": "x"})
 
     def test_cutoff_ladder(self):
         spec = {"kind": "bumps", "bumps": [{"amp": 1.0, "k": 32, "center": (0.85, 0.0)}]}

@@ -1,7 +1,7 @@
 """Static checks that every module of the package uses each name it imports,
-that every function reads each parameter it takes, and that the defaulted
-parameters of public functions and the public functions that the package
-never calls are the pinned sets."""
+that every function reads each parameter it takes, that no call restates a
+literal default, and that the defaulted parameters of public functions and
+the public functions that the package never calls are the pinned sets."""
 import ast
 from pathlib import Path
 
@@ -76,6 +76,66 @@ def _read_names(source: str) -> set:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+_NOT_LITERAL = object()
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return _NOT_LITERAL
+
+
+def _signatures(tree) -> dict:
+    """{name: (positional parameters, {parameter: literal default})} of each
+    function, method (self or cls dropped) and dataclass (its fields) of the
+    tree; a name defined twice maps to None."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+            defaults = dict(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+            defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d)
+            positional = positional[positional[:1] in (["self"], ["cls"]):]
+        elif isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d)
+                                                    for d in node.decorator_list):
+            fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+            positional = [s.target.id for s in fields]
+            defaults = {s.target.id: s.value for s in fields if s.value}
+        else:
+            continue
+        literal = {p: v for p, d in defaults.items() if (v := _literal(d)) is not _NOT_LITERAL}
+        out[node.name] = None if node.name in out else (positional, literal)
+    return out
+
+
+def _restated_defaults(sources: dict) -> list:
+    """(module, line, callee, parameter) for each call that passes, by position
+    or keyword, a literal equal to the parameter's literal default; callees
+    are resolved by simple name across all the sources, and a name defined
+    more than once is skipped."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    sigs = {}
+    for tree in trees.values():
+        for name, sig in _signatures(tree).items():
+            sigs[name] = None if name in sigs else sig
+    out = []
+    for module, tree in trees.items():
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if not sigs.get(name):
+                continue
+            positional, defaults = sigs[name]
+            for param, node in [*zip(positional, call.args),
+                                *((k.arg, k.value) for k in call.keywords)]:
+                v, d = _literal(node), defaults.get(param, _NOT_LITERAL)
+                # 1 == True, but a bool restates only a bool
+                if d is not _NOT_LITERAL and v == d and (type(v) is bool) == (type(d) is bool):
+                    out.append((module, call.lineno, name, param))
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
@@ -101,6 +161,30 @@ def test_unused_parameter_is_caught():
               "        return (lambda z: 0)(x)\n")
     assert _unused_parameters(source) == [
         (1, "f", "args"), (1, "f", "b"), (1, "f", "kw"), (6, "m", "y"), (7, "<lambda>", "z")]
+
+
+def test_no_call_restates_a_default():
+    # a default is written once: a call that passes it again is a second copy
+    assert _restated_defaults({path.stem: path.read_text() for path in MODULES}) == []
+
+
+def test_restated_default_is_caught():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass\n"
+              "class Rec:\n    a: int\n    b: float = 1.0\n    c: str = ''\n"
+              "class K:\n    def m(self, x, y=None, z=(1, 2)):\n        pass\n"
+              "    def dup(self, w=0):\n        pass\n"
+              "def f(p, q=2, *, flag=False, n=TOP):\n    pass\n"
+              "def dup(w=0):\n    pass\n"
+              "f(1, 2, flag=False, n=3)\n"
+              "f(1, 3.0, flag=0)\n"
+              "Rec(0, 1.0, c='x')\n"
+              "Rec(1, c='')\n"
+              "K().m(0, None, z=(1, 3))\n"
+              "dup(w=0)\n")
+    assert _restated_defaults({"m": source}) == [
+        ("m", 16, "f", "flag"), ("m", 16, "f", "q"), ("m", 18, "Rec", "b"),
+        ("m", 19, "Rec", "c"), ("m", 20, "m", "y")]
 
 
 def test_defaulted_parameters_are_pinned():

@@ -33,6 +33,13 @@ class TestLengthVolume:
         m = surface.flat()
         assert surface.boundary_length(m, 0.7) == pytest.approx(2 * np.pi * 0.7, rel=1e-12)
 
+    def test_length_keeps_radius_shape(self):
+        m = surface.flat()
+        assert np.ndim(surface.boundary_length(m, 0.5)) == 0
+        assert surface.boundary_length(m, np.array([0.5])).shape == (1,)
+        assert surface.boundary_length(m, np.full((2, 3), 0.5)).shape == (2, 3)
+        assert surface.gauss_curvature(m, np.array([0.5]), 0.0).shape == (1,)
+
     def test_flat_volume(self):
         m = surface.flat()
         assert surface.ball_volume(m, 0.7, 1024) == pytest.approx(np.pi * 0.49, rel=1e-10)
