@@ -90,7 +90,7 @@ def _emit(verdicts, args, series=None):
         x, y, xlabel, ylabel, title = series or (list(range(len(verdicts))),
                                                  [v.ratio for v in verdicts],
                                                  "verdict index", "lhs/rhs", "verdict ratios")
-        report.write_svg(out, x, y, xlabel=xlabel, ylabel=ylabel, title=title)
+        report.write_svg(out, x, y, xlabel, ylabel, title)
 
 
 def _finish(verdicts, args, series=None) -> int:
@@ -104,8 +104,7 @@ def _finish(verdicts, args, series=None) -> int:
 
 def cmd_verify_geometry(args) -> int:
     metric = surface.from_name(args.metric)
-    verdicts = surface.geometry_bounds_verdicts(metric, args.A, args.p, GEOMETRY_RADII,
-                                                n_r=args.n_r, n_theta=args.n_theta)
+    verdicts = surface.geometry_bounds_verdicts(metric, args.A, args.p, GEOMETRY_RADII)
     return _finish(verdicts, args)
 
 
@@ -201,7 +200,7 @@ def cmd_counterexample(args) -> int:
                                            r.size_bound_minimal, r.atom_in_6k.min_radius)]
             for r in runs])
     else:
-        rows = [VerdictReport(f"counterexample_k{r.k}", 0.0, r.u0_raw,
+        rows = [VerdictReport(f"counterexample_k{r.k}", r.inner_lower_bound, r.u0_raw,
                               case=f"zygmund={r.zygmund:.6g};atom={r.size_bound_minimal:.6g}")
                 for r in runs]
         _emit(rows, args, series=(np.log(ks).tolist(), [r.u0_raw for r in runs],
@@ -261,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--metric", default="flat")
     sp.add_argument("--A", type=float, required=True)
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--n-r", type=int, default=512)
-    sp.add_argument("--n-theta", type=int, default=256)
     common(sp)
     sp.set_defaults(func=cmd_verify_geometry)
 

@@ -249,8 +249,7 @@ def interior_ratio(sol: CaseSolution) -> VerdictReport:
     return VerdictReport("interior_ratio", lhs, rhs, 9.0, case.case_id)
 
 
-def random_interior_case(seed: int, n_r: int = 32, n_theta: int = 48,
-                         metric: str = "flat") -> ExperimentCase:
+def random_interior_case(seed: int, n_r: int, n_theta: int, metric: str) -> ExperimentCase:
     return ExperimentCase(
         metric=metric, n_r=n_r, n_theta=n_theta,
         f={"kind": "random_bumps", "count": 3, "amp": (0.5, 3.0), "k": (2, 8),
@@ -266,8 +265,8 @@ def random_interior_case(seed: int, n_r: int = 32, n_theta: int = 48,
 CORPUS_TOL = 1e-9  # the interior corpus's solver tolerance, also `interior`'s default
 
 
-def run_interior_corpus(n_cases: int = 100, seed: int = 0, n_r: int = 32,
-                        n_theta: int = 48, solver_tol: float = CORPUS_TOL):
+def run_interior_corpus(n_cases: int, seed: int, n_r: int, n_theta: int,
+                        solver_tol: float = CORPUS_TOL):
     """Measured interior constant (sup of per-case ratios) over a random
     corpus of flat and perturbed-metric cases with g >= 0."""
     if n_cases < 1:
@@ -300,7 +299,7 @@ def harnack_ratio(sol: CaseSolution) -> VerdictReport | None:
     return VerdictReport("harnack_ratio", umax, umin + fnorm, 9.0, sol.case.case_id)
 
 
-def harnack_spike_corpus(ks=(8, 16, 32, 64), n_r: int = 48, n_theta: int = 64):
+def harnack_spike_corpus(ks, n_r: int, n_theta: int):
     """Sink spikes scaled to unit Zygmund norm with boundary data 1; the
     point is that the resulting ratios stay bounded in k."""
     if any(k <= 0 for k in ks):
@@ -517,7 +516,7 @@ def global_estimate(f_spec: dict, n_r: int, n_theta: int, run_ladder: bool):
 # solver verification harnesses
 # ---------------------------------------------------------------------------
 
-def manufactured_convergence(kind: str = "flat", resolutions=(32, 64, 128)):
+def manufactured_convergence(kind: str, resolutions):
     """Sup-norm errors and measured order against a manufactured exact
     solution with zero boundary data on B_1.  The angular resolution refines
     together with the radial one (n_theta = n_r) so both error contributions
@@ -601,7 +600,7 @@ def _unit_bump_cells(n_local: int):
     return h, z, ev, core
 
 
-def counterexample_family(k: int, n_local: int = 384) -> CounterexampleRun:
+def counterexample_family(k: int, n_local: int) -> CounterexampleRun:
     """The paired-bump source f_k = k^2 eta(k(x-y_k)) - k^2 eta(k(x+y_k)) with
     y_k = (4/k, 4/k), the damped Laplacian source f_k / A_k, and the potential
     at the origin in both Green conventions.

@@ -116,7 +116,7 @@ def geometry(grid: PolarGrid) -> Geometry:
     for arr in (R, T, X, Y, weights, a, b):
         arr.flags.writeable = False
     # the pole's weight V(B_{dr/2}), Simpson over 4 radial intervals
-    return Geometry((R, T), (X, Y), weights, a, b, ball_volume(m, dr / 2, 4, grid.n_theta))
+    return Geometry((R, T), (X, Y), weights, a, b, ball_volume(m, dr / 2, 4))
 
 
 @dataclass

@@ -67,7 +67,7 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def write_svg(path, x, y, xlabel="x", ylabel="y", title="") -> None:
+def write_svg(path, x, y, xlabel, ylabel, title) -> None:
     """Plot one series as a polyline with a marker on each point, in a
     standalone 640x420 SVG file."""
     if len(x) != len(y) or len(x) < 1:

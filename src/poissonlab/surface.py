@@ -130,17 +130,18 @@ def from_name(name: str) -> MetricProfile:
     return Perturbed(eps)
 
 
-def boundary_length(metric: MetricProfile, r, n_theta: int = 256):
-    """l(dB_r) = int_0^2pi G(r, .) dtheta by the periodic trapezoid rule."""
+def boundary_length(metric: MetricProfile, r):
+    """l(dB_r) = int_0^2pi G(r, .) dtheta by the periodic trapezoid rule on 256
+    nodes; every family's G is affine in cos theta, so any 2 or more are exact."""
     r = np.asarray(r, dtype=float)
     if not np.all((0 < r) & (r < metric.domain)):
         raise ValueError("radius out of range")
-    th = 2 * np.pi * np.arange(n_theta) / n_theta
+    th = 2 * np.pi * np.arange(256) / 256
     vals = metric.G(r[..., None], th)
     return vals.mean(axis=-1) * 2 * np.pi
 
 
-def ball_volume(metric: MetricProfile, r: float, n_r: int = 512, n_theta: int = 256) -> float:
+def ball_volume(metric: MetricProfile, r: float, n_r: int = 512) -> float:
     """V(B_r) = int_0^r l(dB_t) dt by composite Simpson (l(0) = 0)."""
     if not 0 < r < metric.domain:
         raise ValueError("radius out of range")
@@ -148,7 +149,7 @@ def ball_volume(metric: MetricProfile, r: float, n_r: int = 512, n_theta: int = 
     t = np.linspace(0.0, r, n + 1)
     ell = np.empty(n + 1)
     ell[0] = 0.0
-    ell[1:] = boundary_length(metric, t[1:], n_theta)
+    ell[1:] = boundary_length(metric, t[1:])
     h = r / n
     wts = np.ones(n + 1)
     wts[1:-1:2] = 4.0
@@ -167,44 +168,39 @@ def gauss_curvature(metric: MetricProfile, r, theta):
     return (-metric.d2G(r, theta) / g)[()]
 
 
-def _midpoint_mesh(radius: float, n_r: int, n_theta: int):
-    """Cell midpoints (R, T) of [0, radius] x [0, 2pi) and the cell sides dr, dtheta."""
-    dr, dth = radius / n_r, 2 * np.pi / n_theta
-    R, T = np.meshgrid((np.arange(n_r) + 0.5) * dr, (np.arange(n_theta) + 0.5) * dth, indexing="ij")
+def _midpoint_mesh(radius: float):
+    """Midpoints (R, T) of the 512 x 256 cells of [0, radius] x [0, 2pi), and dr, dtheta."""
+    dr, dth = radius / 512, 2 * np.pi / 256
+    R, T = np.meshgrid((np.arange(512) + 0.5) * dr, (np.arange(256) + 0.5) * dth, indexing="ij")
     return R, T, dr, dth
 
 
-def curvature_lp_norm(metric: MetricProfile, p: float, n_r: int = 256,
-                      n_theta: int = 256) -> float:
+def curvature_lp_norm(metric: MetricProfile, p: float) -> float:
     """||K||_{L^p(B_radius)} by midpoint quadrature, radius = min(1, domain)."""
-    R, T, dr, dth = _midpoint_mesh(min(1.0, metric.domain), n_r, n_theta)
+    R, T, dr, dth = _midpoint_mesh(min(1.0, metric.domain))
     k = gauss_curvature(metric, R, T)
     return float(np.sum(np.abs(k) ** p * metric.G(R, T) * dr * dth) ** (1.0 / p))
 
 
-def isoperimetric_constant(metric: MetricProfile, radii, p: float = 2.0,
-                           n_r: int = 512, n_theta: int = 256) -> IsoperimetricEstimate:
+def isoperimetric_constant(metric: MetricProfile, radii, p: float = 2.0) -> IsoperimetricEstimate:
     """A_iso = sup V/l^2 over the probed geodesic balls (a lower bound of the
     true isoperimetric constant) together with the curvature L^p bound."""
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         raise ValueError("empty radii list")
-    if n_r < 1 or n_theta < 1:
-        raise ValueError(f"need n_r >= 1 and n_theta >= 1, got {n_r}, {n_theta}")
-    vols = tuple(ball_volume(metric, r, n_r, n_theta) for r in radii)
-    ells = tuple(boundary_length(metric, radii, n_theta).tolist())
+    vols = tuple(ball_volume(metric, r) for r in radii)
+    ells = tuple(boundary_length(metric, radii).tolist())
     return IsoperimetricEstimate(max(v / ell**2 for v, ell in zip(vols, ells)),
-                                 curvature_lp_norm(metric, p, n_r, n_theta), vols, ells)
+                                 curvature_lp_norm(metric, p), vols, ells)
 
 
-def geometry_bounds_verdicts(metric: MetricProfile, A: float, p: float, radii,
-                             n_r: int = 512, n_theta: int = 256):
+def geometry_bounds_verdicts(metric: MetricProfile, A: float, p: float, radii):
     """The four volume/length bounds (two lower via the isoperimetric constant,
     two upper via the curvature bound), each aggregated over the probed radii."""
     if not (0 < A < np.inf and 0 < p < np.inf):
         raise ValueError(f"need finite positive A and p, got A={A:g}, p={p:g}")
     radii = np.asarray(radii, dtype=float)
-    est = isoperimetric_constant(metric, radii, p, n_r, n_theta)
+    est = isoperimetric_constant(metric, radii, p)
     case = ""
     if A < est.A_iso * (1 - 1e-9) or A < est.A_curv * (1 - 1e-9):
         case = (f"invalid: A={A:g} below measured A_iso={est.A_iso:g} "
@@ -301,7 +297,7 @@ def flux_variation(metric: MetricProfile, rho: float) -> float:
     symmetric metrics."""
     if not 0 < rho < metric.domain:
         raise ValueError("radius out of range")
-    Rg, Tg, dr, dth = _midpoint_mesh(rho, 512, 256)
+    Rg, Tg, dr, dth = _midpoint_mesh(rho)
     g = metric.G(Rg, Tg)
     dg = metric.dG(Rg, Tg)
     ell = g.sum(axis=1) * dth

@@ -62,17 +62,17 @@ def test_criterion_2_geometry():
     errs = []
     m = surface.flat()
     errs.append(abs(surface.ball_volume(m, 0.7, 1024) - np.pi * 0.49) / (np.pi * 0.49))
-    errs.append(abs(surface.boundary_length(m, 0.7, 1024) - 2 * np.pi * 0.7) / (2 * np.pi * 0.7))
+    errs.append(abs(surface.boundary_length(m, 0.7) - 2 * np.pi * 0.7) / (2 * np.pi * 0.7))
     m = surface.sphere()
     ref = 2 * np.pi * (1 - np.cos(1.0))
     errs.append(abs(surface.ball_volume(m, 1.0, 1024) - ref) / ref)
     ref = 2 * np.pi * np.sin(1.0)
-    errs.append(abs(surface.boundary_length(m, 1.0, 1024) - ref) / ref)
+    errs.append(abs(surface.boundary_length(m, 1.0) - ref) / ref)
     m = surface.hyperbolic()
     ref = 2 * np.pi * (np.cosh(1.0) - 1)
     errs.append(abs(surface.ball_volume(m, 1.0, 1024) - ref) / ref)
     ref = 2 * np.pi * np.sinh(1.0)
-    errs.append(abs(surface.boundary_length(m, 1.0, 1024) - ref) / ref)
+    errs.append(abs(surface.boundary_length(m, 1.0) - ref) / ref)
     closed_ok = max(errs) <= 1e-8
 
     radii = [0.25, 0.5, 0.75, 1.0]
@@ -204,7 +204,7 @@ def test_criterion_7_harnack():
     # only its residual tolerance
     const_ok = abs(v.ratio - 1.0) <= 1e-9
     ks = (8, 16, 32, 64)
-    ratios = estimates.harnack_spike_corpus(ks)
+    ratios = estimates.harnack_spike_corpus(ks, 48, 64)
     med = float(np.median(ratios))
     spike_ok = float(np.max(ratios)) <= 3.0 * med
     ok = const_ok and spike_ok

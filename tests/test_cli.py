@@ -49,7 +49,7 @@ class TestVerdictReport:
 
     def test_svg_plot(self, tmp_path):
         p = tmp_path / "plot.svg"
-        report.write_svg(p, [1, 2, 3], [2.0, 1.0, 3.0], xlabel="k", ylabel="v")
+        report.write_svg(p, [1, 2, 3], [2.0, 1.0, 3.0], "k", "v", "")
         text = p.read_text()
         assert text.startswith("<svg")
         assert "polyline" in text
@@ -57,7 +57,7 @@ class TestVerdictReport:
     def test_svg_needs_points(self, tmp_path):
         for x, y in (([], []), ([1], [1, 2])):
             with pytest.raises(ValueError, match="at least one point"):
-                report.write_svg(tmp_path / "p.svg", x, y)
+                report.write_svg(tmp_path / "p.svg", x, y, "x", "y", "")
 
 
 class TestExitCodes:
@@ -194,7 +194,7 @@ class TestExitCodes:
         ["global", "--seed", "-1"],
         ["global", "--cases", "-1"],
         ["interior", "--cases", "1", "--n-r", "10000000", "--n-theta", "10000000"],
-    ], ids=["n-r-0", "n-theta-0", "no-cases", "k-0", "k-negative", "unknown-option",
+    ], ids=["n-r-removed", "n-theta-removed", "no-cases", "k-0", "k-negative", "unknown-option",
             "bad-type", "no-command", "solver-tol-0", "solver-tol-negative", "solver-tol-nan",
             "A-negative", "A-inf", "A-0", "p-negative", "p-0", "eps-negative", "eps-nan",
             "seed-negative-interior", "seed-negative-norms", "seed-negative-global",
@@ -302,7 +302,7 @@ class TestExitCodes:
                    - {"--help"} for name, sp in sub.choices.items()}
         out = {"--out", "--format"}
         assert options == {
-            "verify-geometry": {"--metric", "--A", "--p", "--n-r", "--n-theta", *out},
+            "verify-geometry": {"--metric", "--A", "--p", *out},
             "verify-norms": {"--input", "--domain-measure", "--seed", *out},
             "solve": {"--case", "--out", "--solver-tol"},
             "interior": {"--cases", "--n-r", "--n-theta", "--solver-tol", "--seed", *out},
@@ -312,7 +312,7 @@ class TestExitCodes:
             "convergence": {"--metrics", "--resolutions", *out},
             "report": {"--input", *out},
         }
-        assert sum(map(len, options.values())) == 46
+        assert sum(map(len, options.values())) == 44
 
     def test_metric_fields_are_pinned(self):
         # a metric's domain is where its G vanishes, never a caller-set bound
@@ -490,6 +490,19 @@ class TestSubcommands:
         assert main(["counterexample", "--kmin", "16", "--kmax", "64",
                      "--n-local", "96", "--format", "svg", "--out", str(out)]) == 0
         assert out.read_text().startswith("<svg")
+
+    def test_counterexample_lhs_is_lower_bound(self, tmp_path, capsys):
+        # each row checks the paper's lower bound (pi/2) ln k + const against |u_k(0)|
+        out = tmp_path / "ce.json"
+        assert main(["counterexample", "--kmin", "16", "--kmax", "64",
+                     "--n-local", "96", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        assert [r["name"] for r in rows] == ["counterexample_k16", "counterexample_k32",
+                                             "counterexample_k64"]
+        for k, row in zip((16, 32, 64), rows):
+            run = estimates.counterexample_family(k, 96)
+            assert (row["lhs"], row["rhs"]) == (run.inner_lower_bound, run.u0_raw)
+            assert 0 < row["lhs"] <= row["rhs"] and row["pass"]
 
     def test_verdict_bounds_match_acceptance_gate(self, tmp_path, capsys):
         # criterion 7: each spike ratio below 3 x the median; criterion 4: order in [1.7, 2.3]

@@ -169,7 +169,7 @@ class TestMoser:
 class TestCounterexample:
     def test_low_k_rejected(self):
         with pytest.raises(ValueError, match="k > 10"):
-            estimates.counterexample_family(8)
+            estimates.counterexample_family(8, 384)
 
     def test_exact_zero_mean(self):
         run = estimates.counterexample_family(64, n_local=128)
@@ -384,7 +384,7 @@ class TestHarnack:
     def test_spike_ratios_pinned(self):
         # the default corpus's ratios when each sink was divided by its norm after
         # resolution; the sink's amp -1/||eta_k||* rounds differently
-        assert estimates.harnack_spike_corpus() == pytest.approx(
+        assert estimates.harnack_spike_corpus((8, 16, 32, 64), 48, 64) == pytest.approx(
             [0.5345409011410382, 0.5358665642254479, 0.5368580954504591, 0.5389244671570896],
             rel=1e-13)
 
@@ -522,7 +522,7 @@ class TestSolverHarnesses:
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError, match="manufactured"):
-            estimates.manufactured_convergence("torus")
+            estimates.manufactured_convergence("torus", (32, 64, 128))
 
     def test_max_principle_sample(self):
         assert estimates.max_principle_corpus(10, seed=2, n_r=16, n_theta=16) == 0

@@ -195,15 +195,11 @@ def test_defaulted_parameters_are_pinned():
             found.setdefault(f"{path.stem}.{fn}", []).append(param)
     assert {name: " ".join(params) for name, params in found.items()} == {
         "cli.main": "argv",
-        "estimates.counterexample_family": "n_local",
         "estimates.field_zygmund_norm": "radius",
-        "estimates.harnack_spike_corpus": "ks n_r n_theta",
-        "estimates.manufactured_convergence": "kind resolutions",
         "estimates.max_principle_corpus": "n_cases n_r n_theta seed",
-        "estimates.random_interior_case": "metric n_r n_theta",
         "estimates.resolve_boundary": "seed",
         "estimates.resolve_field": "seed",
-        "estimates.run_interior_corpus": "n_cases n_r n_theta seed solver_tol",
+        "estimates.run_interior_corpus": "solver_tol",
         "estimates.solve_case": "tol",
         "pde.DiscreteField.as_samples": "radius",
         "pde.DiscreteField.l1_norm": "radius",
@@ -212,15 +208,11 @@ def test_defaulted_parameters_are_pinned():
         "pde.DiscreteField.sup_norm": "radius",
         "pde.cg": "callback",
         "pde.solve_dirichlet": "tol",
-        "report.write_svg": "title xlabel ylabel",
-        "surface.ball_volume": "n_r n_theta",
-        "surface.boundary_length": "n_theta",
-        "surface.curvature_lp_norm": "n_r n_theta",
-        "surface.geometry_bounds_verdicts": "n_r n_theta",
-        "surface.isoperimetric_constant": "n_r n_theta p",
+        "surface.ball_volume": "n_r",
+        "surface.isoperimetric_constant": "p",
         "surface.sample_ball": "n_r n_theta",
     }
-    assert sum(map(len, found.values())) == 45
+    assert sum(map(len, found.values())) == 21
 
 
 def test_defaulted_parameter_is_caught():

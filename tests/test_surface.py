@@ -33,6 +33,14 @@ class TestLengthVolume:
         m = surface.flat()
         assert surface.boundary_length(m, 0.7) == pytest.approx(2 * np.pi * 0.7, rel=1e-12)
 
+    def test_perturbed_length_exact(self):
+        # G is affine in cos theta, so the periodic trapezoid rule gives 2 pi r exactly
+        for eps, radii in ((0.05, (0.5, 1.0, 4.0)), (-0.5, (0.5, 1.0, 1.4)),
+                           (0.1, (0.5, 1.0, 3.0))):
+            m = surface.perturbed(eps)
+            for r in radii:
+                assert surface.boundary_length(m, r) == pytest.approx(2 * np.pi * r, rel=1e-15)
+
     def test_length_keeps_radius_shape(self):
         m = surface.flat()
         assert np.ndim(surface.boundary_length(m, 0.5)) == 0
