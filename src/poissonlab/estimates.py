@@ -582,22 +582,27 @@ class CounterexampleRun:
 
 @lru_cache(maxsize=1)
 def _unit_bump_cells(n_local: int):
-    """(h, support cells of eta sorted by eta descending with ties by index,
-    their eta, core cells |z| < 1) of the n_local^2 grid over [-2, 2]^2 in
-    z = k(y - y_k), built once for all k; the arrays are read-only."""
+    """The k-independent coefficients of `counterexample_family` at one n_local:
+    (h, U1, l1, Z, S, max D, max eta, n_core, sum ln D_core), from the
+    n_local^2 midpoint grid over [-2, 2]^2 in z = k(y - y_k), where
+    D = |(4, 4) + z| = k|y| and the core is |z| < 1."""
     if n_local < 1:
         raise ValueError("need n_local >= 1")
     h = 4.0 / n_local
     c = -2.0 + h * (np.arange(n_local) + 0.5)
-    X, Y = np.meshgrid(c, c, indexing="ij")
-    pts, s = np.stack([X.ravel(), Y.ravel()], axis=-1), np.hypot(X, Y).ravel()
-    e = eta_radial(s)
-    order = np.argsort(-e, kind="stable")[:np.count_nonzero(e)]
-    # z column-major, so that shifting it by y_k runs along whole columns
-    z, ev, core = np.asfortranarray(pts[order]), e[order], pts[s < 1.0]
-    for arr in (z, ev, core):
-        arr.flags.writeable = False
-    return h, z, ev, core
+    s = np.hypot(c[:, None], c)
+    ev = eta_radial(s)
+    supp = ev > 0.0
+    ev, s = ev[supp], s[supp]
+    s1 = 2.0 * h * h * ev.size
+    # |f_1| repeats each eta twice on cells of measure h^2; each pair is one step of 2h^2
+    zyg1 = StepProfile(2.0 * h * h * np.arange(ev.size + 1), np.sort(ev)[::-1]).zygmund_norm(s1)
+    unit = WeightedSamples(ev / 2.0, np.full(ev.size, h * h), np.stack(
+        [np.broadcast_to(x + 4.0, supp.shape)[supp] for x in (c[:, None], c)], axis=-1))
+    u1 = float(pde.log_potential(unit, [(0.0, 0.0)])[0])
+    d = unit.distances((0.0, 0.0))
+    return (h, u1, 2.0 * h * h * float(ev.sum()), zyg1, s1, float(d.max()), float(ev.max()),
+            int(np.count_nonzero(s < 1.0)), float(np.sum(np.log(d[s < 1.0]))))
 
 
 def counterexample_family(k: int, n_local: int) -> CounterexampleRun:
@@ -608,47 +613,31 @@ def counterexample_family(k: int, n_local: int) -> CounterexampleRun:
     The potential is that of the density
     rho = k^2 eta(k(x-y_k)) - (1/2) k^2 eta(k(x+y_k)); `u0_standard` is
     (1/2pi) int ln|y| rho(y) dy and `u0_raw` = 2pi |u0_standard|.  Since
-    ln|y| is even in y, u0_raw = (1/2) int k^2 eta(k(y-y_k)) ln(1/|y|) dy
-    = (1/2)(int eta) ln k + const, so its rate in ln k is (1/2) int eta.
-    `inner_lower_bound` is the same integral restricted to the core
-    |y - y_k| < 1/k, where eta = 1: (pi/2) ln k + const, the paper's lower
-    bound; eta >= 1 on B_1 makes it <= u0_raw.  Both integrals are midpoint
-    sums on one n_local^2 grid over [-2, 2]^2 in z = k(y - y_k), shared by all
-    k (`_unit_bump_cells`).  The second bump's cells are the first's negated,
-    so the potential sums the folded density (1/2) k^2 eta over the first."""
+    ln|y| is even in y, it is the potential of the folded density
+    (1/2) k^2 eta(k(y-y_k)) over the first bump.  `inner_lower_bound` is
+    (1/2) int k^2 eta ln(1/|y|) restricted to the core |y - y_k| < 1/k, where
+    eta = 1: (pi/2) ln k + const, the paper's lower bound, and <= u0_raw.
+
+    Every output is a midpoint sum on one n_local^2 grid over [-2, 2]^2 in
+    z = k(y - y_k), whose cells have measure (h/k)^2 and lie at |y| = D/k with
+    D = |(4, 4) + z|.  Cell radii and distances scale together, so each sum is
+    affine in ln k with coefficients taken once per n_local
+    (`_unit_bump_cells`): u0_standard = U1 - (l1 / 8pi) ln k, the Zygmund
+    norm on |X| = pi is Z + l1 ln(pi k^2 / S) for the unit profile's norm Z
+    on its own support measure S, and the core sum is
+    (h^2/2)(n_core ln k - sum ln D_core).  The L1 norm 2 h^2 sum eta, the
+    minimal atom size pi (max D)^2 and sup|f_k| |B_{6/k}| = 36 pi max eta do
+    not depend on k, and the mean of the odd f_k vanishes identically."""
     if k <= 10:
         raise ValueError("need k > 10")
-    h, z, ev, core = _unit_bump_cells(n_local)
-    cell = (h / k) ** 2
-    yk = np.array([4.0 / k, 4.0 / k])
-
-    near = yk + z / k
-    kev = k**2 * ev
-    rho_samples = WeightedSamples(kev / 2.0, np.full(ev.size, cell), near)
-    u0_std = float(pde.log_potential(rho_samples, [(0.0, 0.0)])[0])
-    u0_raw = 2 * np.pi * abs(u0_std)
-
-    # |f_k| is kev on both bumps and all cells have measure `cell`, so the
-    # stable rearrangement of f_k repeats each value of kev twice
-    zyg = StepProfile(np.concatenate([[0.0], np.cumsum(np.full(2 * ev.size, cell))]),
-                      np.repeat(kev, 2)).zygmund_norm(np.pi)
-    # l1 and the atom's mean sum over both bumps' cells, the first bump first
-    p = kev * cell
-    l1 = float(np.sum(np.concatenate([p, p])))
-    # the two bumps' partial sums are exact negations: the mean vanishes identically
-    mean = float((np.sum(kev) + np.sum(-kev)) * cell)
-    # atom check on B_{6/k}(0): |-near| = |near|, and kev[0] is sup|f_k|
-    radius = 6.0 / k
-    r_min = float(np.hypot(near[:, 0], near[:, 1]).max())
-    atom = AtomVerdict(r_min <= radius, float(np.sum(np.concatenate([p, -p]))),
-                       float(kev[0] * np.pi * radius**2), ((0.0, 0.0), radius), r_min)
-    size_min = k**2 * np.pi * r_min**2
-
-    # restricted lower-bound integral over the unit-scale core |y - y_k| < 1/k
-    d0 = np.hypot(core[:, 0] / k + yk[0], core[:, 1] / k + yk[1])
-    lb = 0.5 * float(np.sum(np.log(1.0 / d0))) * h * h
-
-    return CounterexampleRun(k, u0_raw, u0_std, zyg, l1, mean, size_min, atom, lb)
+    h, u1, l1, zyg1, s1, d_max, eta_max, n_core, log_core = _unit_bump_cells(n_local)
+    lnk = float(np.log(k))
+    u0_std = u1 - l1 / (8.0 * np.pi) * lnk
+    radius, r_min = 6.0 / k, d_max / k
+    atom = AtomVerdict(r_min <= radius, 0.0, 36.0 * np.pi * eta_max, ((0.0, 0.0), radius), r_min)
+    return CounterexampleRun(k, 2 * np.pi * abs(u0_std), u0_std,
+                             zyg1 + float(np.log(np.pi * k * k / s1)) * l1, l1, 0.0,
+                             np.pi * d_max**2, atom, 0.5 * h * h * (n_core * lnk - log_core))
 
 
 def fit_log_slope(ks, values) -> float:

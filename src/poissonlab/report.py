@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -38,9 +39,16 @@ class VerdictReport:
         }
 
 
+def _json_row(v: VerdictReport) -> dict:
+    row = v.to_dict()
+    return {**row, "ratio": row["ratio"] if math.isfinite(row["ratio"]) else None}
+
+
 def write_json(doc, path) -> None:
-    """Indented, key-sorted JSON of doc (verdicts as rows) to path, or stdout for None."""
-    text = json.dumps(doc, indent=2, sort_keys=True, default=VerdictReport.to_dict)
+    """Indented, key-sorted strict JSON of doc (verdicts as rows, a non-finite
+    ratio as null) to path, or stdout for None; any other NaN or infinity raises
+    ValueError."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_json_row)
     if path is None:
         print(text)
     else:

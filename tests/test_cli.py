@@ -1,5 +1,6 @@
 """CLI exit-code contract, report emission, and determinism tests."""
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -343,6 +344,21 @@ class TestExitCodes:
         report.write_json([VerdictReport("bad", 3.0, 2.0)], path)
         assert main(["report", "--input", str(path)]) == 2
 
+    def test_report_json_is_strict(self, tmp_path, capsys):
+        # an infinite ratio (rhs = 0, lhs != 0) is written as null, never as
+        # the non-standard Infinity, and the output reads back in
+        def refuse(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text('[{"name": "x", "lhs": 1.0, "rhs": 0.0}, {"name": "y", "lhs": 1.0, "rhs": 2.0}]')
+        assert main(["report", "--input", str(src), "--out", str(out)]) == 2
+        rows = json.loads(out.read_text(), parse_constant=refuse)
+        assert [r["ratio"] for r in rows] == [None, 0.5]
+        assert main(["report", "--input", str(out)]) == 2
+        with pytest.raises(ValueError):
+            report.write_json({"residual": float("nan")}, tmp_path / "nan.json")
+
 
 class TestSubcommands:
     @pytest.mark.parametrize("argv,name", [
@@ -484,6 +500,18 @@ class TestSubcommands:
                          "--n-local", "96", "--format", "csv",
                          "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_counterexample_slope_at_bench_resolution(self, tmp_path, capsys):
+        # the benchmark's counterexample gate (bench/workloads.py CLI_SLOPE,
+        # copied here): ln k fit of |u_k(0)| over k = 16..256 at n_local = 1024
+        out = tmp_path / "ce.csv"
+        assert main(["counterexample", "--n-local", "1024", "--format", "csv",
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        ks = [int(r["k"]) for r in rows]
+        assert ks == [16, 32, 64, 128, 256]
+        slope = estimates.fit_log_slope(ks, [float(r["u0_raw"]) for r in rows])
+        assert slope == pytest.approx(3.5765755466, rel=1e-9, abs=0.0)
 
     def test_counterexample_svg(self, tmp_path, capsys):
         out = tmp_path / "growth.svg"

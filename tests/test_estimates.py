@@ -199,8 +199,7 @@ class TestCounterexample:
 
 class TestCounterexampleCells:
     # reference fields at n_local=128 from a per-k grid in grid order; the
-    # shared presorted cells and the folded potential must reproduce them,
-    # u0 only to roundoff because its sum runs in another order
+    # family's scaling law in ln k reproduces them to roundoff
     PINNED = {
         16: dict(zygmund=71.61281349614029, l1=14.306302186047994, mean=0.0,
                  min_radius=0.47801113393417843, size_bound_minimal=183.76629644633616,
@@ -217,47 +216,83 @@ class TestCounterexampleCells:
         run = estimates.counterexample_family(k, n_local=128)
         want = self.PINNED[k]
         for name in ("zygmund", "l1", "mean", "size_bound_minimal", "inner_lower_bound"):
-            assert getattr(run, name) == want[name], name
-        assert run.atom_in_6k.min_radius == want["min_radius"]
+            assert getattr(run, name) == pytest.approx(want[name], rel=1e-12, abs=0.0), name
+        assert run.atom_in_6k.min_radius == pytest.approx(want["min_radius"], rel=1e-12, abs=0.0)
         for name in ("u0_raw", "u0_standard"):
             assert getattr(run, name) == pytest.approx(want[name], rel=1e-14, abs=0.0), name
 
     @staticmethod
-    def _full_samples(k, n_local):
-        # the two-bump source on all of its cells, first bump then its negation
-        h, z, ev, _ = estimates._unit_bump_cells(n_local)
+    def _full_samples(k, n_local, weight=1.0):
+        # the two-bump source on all of its support cells in grid order, the
+        # first bump, then the second (its negation) scaled by weight; and
+        # the core |z| < 1 of the first
+        h = 4.0 / n_local
+        c = -2.0 + h * (np.arange(n_local) + 0.5)
+        X, Y = np.meshgrid(c, c, indexing="ij")
+        z = np.stack([X.ravel(), Y.ravel()], axis=-1)
+        ev = estimates.eta_radial(np.hypot(z[:, 0], z[:, 1]))
+        z, ev = z[ev > 0.0], ev[ev > 0.0]
         near = np.array([4.0 / k, 4.0 / k]) + z / k
-        return WeightedSamples(np.concatenate([k**2 * ev, -(k**2) * ev]),
+        full = WeightedSamples(np.concatenate([k**2 * ev, -weight * k**2 * ev]),
                                np.full(2 * ev.size, (h / k) ** 2),
                                np.concatenate([near, -near]))
+        return full, np.hypot(z[:, 0], z[:, 1]) < 1.0
 
-    @pytest.mark.parametrize("k", [16, 64])
-    def test_atom_matches_full_check(self, k):
-        run = estimates.counterexample_family(k, n_local=128)
-        want = atom_check(self._full_samples(k, 128), ((0.0, 0.0), 6.0 / k))
+    @staticmethod
+    def _assert_atom_matches(run, want):
         got = run.atom_in_6k
         assert got.support_ok is want.support_ok
-        for name in ("mean", "size_bound", "min_radius"):
-            assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex(), name
+        for name in ("size_bound", "min_radius"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0), name
+        # atom_check's mean is a cancelling sum: 1e-12 relative to the atom's mass
+        assert got.mean == pytest.approx(want.mean, rel=0.0, abs=1e-12 * run.l1)
         (gc, gr), (wc, wr) = got.ball, want.ball
         assert [float(x).hex() for x in (*gc, gr)] == [float(x).hex() for x in (*wc, wr)]
 
     @pytest.mark.parametrize("k", [16, 64])
+    def test_atom_matches_full_check(self, k):
+        run = estimates.counterexample_family(k, n_local=128)
+        self._assert_atom_matches(run, atom_check(self._full_samples(k, 128)[0],
+                                                  ((0.0, 0.0), 6.0 / k)))
+
+    @pytest.mark.parametrize("k", [16, 64])
     def test_norms_match_full_samples(self, k):
         run = estimates.counterexample_family(k, n_local=128)
-        full = self._full_samples(k, 128)
-        assert run.zygmund.hex() == zygmund_norm(full, np.pi).hex()
-        assert run.l1.hex() == float(np.sum(np.abs(full.values) * full.measures)).hex()
+        full, _ = self._full_samples(k, 128)
+        assert run.zygmund == pytest.approx(zygmund_norm(full, np.pi), rel=1e-12, abs=0.0)
+        assert run.l1 == pytest.approx(float(np.sum(np.abs(full.values) * full.measures)),
+                                       rel=1e-12, abs=0.0)
 
-    def test_unit_cells_cached_read_only(self):
-        cells = estimates._unit_bump_cells(96)
-        assert estimates._unit_bump_cells(96) is cells
-        h, z, ev, core = cells
-        assert h == 4.0 / 96
-        assert np.all(np.diff(ev) <= 0.0)
-        for arr in (z, ev, core):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+    def test_non_dyadic_series_matches_full_samples(self):
+        # k = 12 * 2^j: cell measures (h/k)^2 that are not dyadic; every field
+        # from zygmund_norm, atom_check, log_potential and direct sums on the
+        # full samples at n_local = 128, to 1e-12 relative
+        h = 4.0 / 128
+        for k in (12, 24, 48):
+            run = estimates.counterexample_family(k, n_local=128)
+            full, core = self._full_samples(k, 128)
+            rho, _ = self._full_samples(k, 128, weight=0.5)
+            atom = atom_check(full, ((0.0, 0.0), 6.0 / k))
+            u0 = float(pde.log_potential(rho, [(0.0, 0.0)])[0])
+            d_core = full.distances((0.0, 0.0))[:core.size][core]
+            want = dict(u0_raw=2 * np.pi * abs(u0), u0_standard=u0,
+                        zygmund=zygmund_norm(full, np.pi),
+                        l1=float(np.sum(np.abs(full.values) * full.measures)),
+                        size_bound_minimal=k**2 * np.pi * atom.min_radius**2,
+                        inner_lower_bound=0.5 * h * h * float(np.sum(-np.log(d_core))))
+            for name, value in want.items():
+                assert getattr(run, name) == pytest.approx(value, rel=1e-12, abs=0.0), (k, name)
+            assert run.mean == pytest.approx(atom.mean, rel=0.0, abs=1e-12 * run.l1)
+            self._assert_atom_matches(run, atom)
+
+    def test_scaling_cache_built_once_per_series(self):
+        estimates._unit_bump_cells.cache_clear()
+        for k in (16, 32, 64, 128, 256):
+            estimates.counterexample_family(k, n_local=96)
+        info = estimates._unit_bump_cells.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 4, 1)
+        for x in estimates._unit_bump_cells(96):
+            assert np.ndim(x) == 0 or not x.flags.writeable
 
     def test_bad_n_local(self):
         with pytest.raises(ValueError, match="n_local"):
