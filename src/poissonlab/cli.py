@@ -82,8 +82,6 @@ def _emit(verdicts, args, series=None):
     fmt, out = args.format, args.out
     if fmt == "json":
         report.write_json(verdicts, out)
-    elif out is None:
-        raise InputError(f"{fmt} output requires --out")
     elif fmt == "csv":
         report.write_csv(verdicts, out)
     else:
@@ -192,7 +190,7 @@ def cmd_counterexample(args) -> int:
         k *= 2
     runs = [estimates.counterexample_family(k, args.n_local) for k in ks]
     slope = estimates.fit_log_slope(ks, [r.u0_raw for r in runs])
-    if args.format == "csv" and args.out is not None:
+    if args.format == "csv":
         header = ["k", "u0_raw", "u0_standard", "zygmund_norm", "l1_norm", "atom_size_bound",
                   "min_radius"]
         report.write_table(args.out, header, [
@@ -323,6 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "format", "json") != "json" and args.out is None:  # solve has no --format
+            raise InputError(f"{args.format} output requires --out")  # refused before any work
         return args.func(args)
     except (InputError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

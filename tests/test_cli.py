@@ -195,11 +195,20 @@ class TestExitCodes:
         ["global", "--seed", "-1"],
         ["global", "--cases", "-1"],
         ["interior", "--cases", "1", "--n-r", "10000000", "--n-theta", "10000000"],
+        # csv and svg need a file; refused before the harness prints its summary
+        ["interior", "--cases", "3", "--n-r", "8", "--n-theta", "8", "--format", "svg"],
+        ["harnack", "--ks", "8,16", "--n-r", "8", "--n-theta", "8", "--format", "csv"],
+        ["global", "--cases", "0", "--n-r", "8", "--n-theta", "8", "--format", "svg"],
+        ["convergence", "--metrics", "flat", "--resolutions", "8,16,32", "--format", "csv"],
+        ["verify-norms", "--format", "svg"],
+        ["counterexample", "--n-local", "7", "--format", "csv"],
     ], ids=["n-r-removed", "n-theta-removed", "no-cases", "k-0", "k-negative", "unknown-option",
             "bad-type", "no-command", "solver-tol-0", "solver-tol-negative", "solver-tol-nan",
             "A-negative", "A-inf", "A-0", "p-negative", "p-0", "eps-negative", "eps-nan",
             "seed-negative-interior", "seed-negative-norms", "seed-negative-global",
-            "cases-negative-global", "huge-grid-interior"])
+            "cases-negative-global", "huge-grid-interior", "svg-no-out-interior",
+            "csv-no-out-harnack", "svg-no-out-global", "csv-no-out-convergence",
+            "svg-no-out-norms", "csv-no-out-counterexample"])
     @pytest.mark.filterwarnings("error")
     def test_bad_argument_one_line(self, capsys, argv):
         assert main(argv) == 1
@@ -207,6 +216,8 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         if argv[-2:] in (["--seed", "-1"], ["--cases", "-1"]):  # refused at parse time, by name
             assert f"argument {argv[-2]}: " in err
+        if argv[-2:-1] == ["--format"]:
+            assert err == f"error: {argv[-1]} output requires --out\n"
 
     @pytest.mark.parametrize("name", ["perturbedXYZ", "perturbed", "perturbed:", "perturbed:abc",
                                       "perturbedX:0.1"])

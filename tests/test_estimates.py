@@ -1,4 +1,6 @@
 """Unit tests for the inequality harnesses and the counterexample family."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,13 +54,13 @@ class TestExperimentCase:
     def test_unknown_field_kind(self):
         grid = pde.PolarGrid(surface.flat(), 16, 16, 1.0)
         with pytest.raises(ValueError, match="unknown field kind"):
-            estimates.resolve_field(grid, {"kind": "mystery"})
+            estimates.resolve_field(grid, {"kind": "mystery"}, 0)
 
     def test_random_fields_seeded(self):
         grid = pde.PolarGrid(surface.flat(), 16, 16, 1.0)
         spec = {"kind": "random_bumps", "count": 2, "seed": 5}
-        a = estimates.resolve_field(grid, spec)
-        b = estimates.resolve_field(grid, spec)
+        a = estimates.resolve_field(grid, spec, 0)
+        b = estimates.resolve_field(grid, spec, 0)
         assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("field", ["f", "g"])
@@ -97,7 +99,7 @@ class TestExperimentCase:
     def test_malformed_field_spec_names_key(self, spec, key):
         grid = pde.PolarGrid(surface.flat(), 16, 16, 1.0)
         with pytest.raises(ValueError, match=f"'{key}'"):
-            estimates.resolve_field(grid, spec)
+            estimates.resolve_field(grid, spec, 0)
 
     @pytest.mark.parametrize("spec, key", [
         ({"kind": "constant"}, "value"),
@@ -112,20 +114,20 @@ class TestExperimentCase:
     def test_malformed_boundary_spec_names_key(self, spec, key):
         grid = pde.PolarGrid(surface.flat(), 16, 16, 1.0)
         with pytest.raises(ValueError, match=f"'{key}'"):
-            estimates.resolve_boundary(grid, spec)
+            estimates.resolve_boundary(grid, spec, 0)
 
     def test_fourier_modes_end_at_nyquist(self):
         # mode n_theta / 2 is the last one the grid resolves; higher ones alias
         grid = pde.PolarGrid(surface.flat(), 16, 16, 1.0)
         assert np.all(np.isfinite(estimates.resolve_boundary(grid, {"kind": "fourier",
-                                                                    "modes": 8})))
+                                                                    "modes": 8}, 0)))
         with pytest.raises(ValueError, match="'modes': 9 exceeds n_theta // 2 = 8"):
-            estimates.resolve_boundary(grid, {"kind": "fourier", "modes": 9})
+            estimates.resolve_boundary(grid, {"kind": "fourier", "modes": 9}, 0)
 
     def test_support_restriction(self):
         grid = pde.PolarGrid(surface.flat(), 16, 16, 2.0)
         f = estimates.resolve_field(grid, {"kind": "constant", "value": 1.0,
-                                           "support_radius": 1.0})
+                                           "support_radius": 1.0}, 0)
         assert np.all(f.values[grid.r_nodes > 1.0 + 1e-9] == 0.0)
         assert f.pole == 1.0
 
@@ -284,6 +286,38 @@ class TestCounterexampleCells:
                 assert getattr(run, name) == pytest.approx(value, rel=1e-12, abs=0.0), (k, name)
             assert run.mean == pytest.approx(atom.mean, rel=0.0, abs=1e-12 * run.l1)
             self._assert_atom_matches(run, atom)
+
+    @pytest.mark.parametrize("n_local", [1, 2, 7, 96, 128])
+    def test_unit_sums_equal_log_potential(self, n_local):
+        # the general path on the unit folded density: eta/2 on cells h^2 at
+        # (4, 4) + z in grid order, through log_potential and distances
+        h = 4.0 / n_local
+        c = -2.0 + h * (np.arange(n_local) + 0.5)
+        X, Y = (a.ravel() for a in np.meshgrid(c, c, indexing="ij"))
+        s = np.hypot(X, Y)
+        ev = estimates.eta_radial(s)
+        supp = ev > 0.0
+        unit = WeightedSamples(ev[supp] / 2.0, np.full(np.count_nonzero(supp), h * h),
+                               np.stack([X[supp] + 4.0, Y[supp] + 4.0], axis=-1))
+        d, core = unit.distances((0.0, 0.0)), s[supp] < 1.0
+        assert d.min() > h / np.sqrt(np.pi)  # no cell holds the origin: no near-cell rule
+        _, u1, _, _, _, d_max, _, _, log_core = estimates._unit_bump_cells(n_local)
+        want = (float(pde.log_potential(unit, [(0.0, 0.0)])[0]), float(d.max()),
+                float(np.sum(np.log(d[core]))))
+        assert [x.hex() for x in (u1, d_max, log_core)] == [x.hex() for x in want]
+
+    def test_cache_build_memory(self):
+        # the cold build at the benchmark's n_local = 1024 keeps no position
+        # array: 44.9 MiB traced with numpy 2.4, where that array and
+        # log_potential's temporaries took it to 70.8 MiB
+        estimates._unit_bump_cells.cache_clear()
+        tracemalloc.start()
+        try:
+            estimates._unit_bump_cells(1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 56 * 2**20
 
     def test_scaling_cache_built_once_per_series(self):
         estimates._unit_bump_cells.cache_clear()
