@@ -181,8 +181,10 @@ def cmd_global(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    if args.kmin <= 10 or args.kmax < 2 * args.kmin:
-        raise ValueError(f"need --kmin > 10 and --kmax >= 2 * --kmin, got {args.kmin}, {args.kmax}")
+    # up to 2**53 every integer k is an exact double
+    if args.kmin <= 10 or not 2 * args.kmin <= args.kmax <= 2**53:
+        raise ValueError(f"need --kmin > 10 and 2 * --kmin <= --kmax <= 2**53, "
+                         f"got {args.kmin}, {args.kmax}")
     ks = []
     k = args.kmin
     while k <= args.kmax:

@@ -309,6 +309,9 @@ def harnack_spike_corpus(ks, n_r: int, n_theta: int):
     for k in ks:
         sink = {"k": k, "center": (0.3, 0.0)}
         norm = field_zygmund_norm(_resolve_bumps(grid, [dict(sink, amp=-1.0)]))
+        if norm == 0.0:
+            raise ValueError(f"spike k={k}: no node of the {n_r}x{n_theta} grid lies in its "
+                             f"support, the disk of radius 2/k about (0.3, 0)")
         case = ExperimentCase(n_r=n_r, n_theta=n_theta,
                               f={"kind": "bumps", "bumps": [dict(sink, amp=-1.0 / norm)]},
                               boundary={"kind": "constant", "value": 1.0}, case_id=f"spike-k{k}")
@@ -360,7 +363,6 @@ def moser_resolve(a: float, b: float, rho0: float) -> float:
 
 @dataclass(frozen=True)
 class BmoDualityResult:
-    lhs: float
     pairing_ratio: float
     naive_bound: float
 
@@ -398,7 +400,7 @@ def bmo_duality_check(f: WeightedSamples, x0, rho: float) -> BmoDualityResult:
     r_min = float(d[supp].max()) if np.any(supp) else 0.0
     proxy = float(np.max(np.abs(f.values)) * np.pi * r_min**2)
     sup_kernel = float(np.max(np.abs(kern[supp]))) if np.any(supp) else 0.0
-    return BmoDualityResult(lhs, lhs / proxy if proxy > 0 else 0.0, scale * sup_kernel)
+    return BmoDualityResult(lhs / proxy if proxy > 0 else 0.0, scale * sup_kernel)
 
 
 # ---------------------------------------------------------------------------

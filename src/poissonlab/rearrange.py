@@ -45,13 +45,6 @@ class WeightedSamples:
     def total_measure(self) -> float:
         return float(self.measures.sum())
 
-    @property
-    def support_measure(self) -> float:
-        return float(self.measures[self.values != 0.0].sum())
-
-    def scaled(self, c: float) -> "WeightedSamples":
-        return WeightedSamples(self.values * c, self.measures, self.positions)
-
     def distances(self, center) -> np.ndarray:
         """Planar distance of each cell position from center (x, y)."""
         if self.positions is None:

@@ -28,7 +28,6 @@ class MetricProfile:
     (see ``pde.geometry``).  A family defines ``_eval(k, r, t)``, the k-th
     radial derivative of G, and ``domain``, the first radius where G = 0."""
 
-    name: str
     domain: float
 
     def G(self, r, t):
@@ -50,21 +49,18 @@ class _Radial(MetricProfile):
 
 @dataclass(frozen=True)
 class Flat(_Radial):
-    name = "flat"
     domain = np.inf
     p = (np.asarray, np.ones_like, np.zeros_like)
 
 
 @dataclass(frozen=True)
 class Sphere(_Radial):
-    name = "sphere"
     domain = np.pi
     p = (np.sin, np.cos, lambda r: -np.sin(r))
 
 
 @dataclass(frozen=True)
 class Hyperbolic(_Radial):
-    name = "hyperbolic"
     domain = np.inf
     p = (np.sinh, np.cosh, np.sinh)
 
@@ -78,10 +74,6 @@ class Perturbed(MetricProfile):
     def __post_init__(self):
         if not np.isfinite(self.eps):
             raise ValueError(f"perturbation eps={self.eps} degenerates the metric")
-
-    @property
-    def name(self) -> str:
-        return f"perturbed:{self.eps:g}"
 
     @property
     def domain(self) -> float:  # G vanishes at r = 1/sqrt(|eps|) for either sign of eps
@@ -102,13 +94,6 @@ class IsoperimetricEstimate:
     A_curv: float
     volumes: tuple  # V(B_r) per probed radius
     lengths: tuple  # l(dB_r) per probed radius
-
-
-@dataclass(frozen=True)
-class FluxExponentFit:
-    values: np.ndarray
-    exponent: float | None
-    target: float
 
 
 # the constructors by their family names, as from_name spells them
@@ -197,22 +182,27 @@ def isoperimetric_constant(metric: MetricProfile, radii, p: float = 2.0) -> Isop
 def geometry_bounds_verdicts(metric: MetricProfile, A: float, p: float, radii):
     """The four volume/length bounds (two lower via the isoperimetric constant,
     two upper via the curvature bound), each aggregated over the probed radii."""
-    if not (0 < A < np.inf and 0 < p < np.inf):
-        raise ValueError(f"need finite positive A and p, got A={A:g}, p={p:g}")
     radii = np.asarray(radii, dtype=float)
+    # each bound must be a double: (2 pi + A)^(p + 1) overflows for a large A or
+    # p and 1/A for a tiny A; NaN and a non-positive A or p fail the test too
+    with np.errstate(all="ignore"):
+        up = np.float64(2 * np.pi + A) ** (p + 1)
+        bounds = np.array([radii**2 / (4 * A), radii / (2 * A), up * radii**2, up * radii])
+    if not (0 < A < np.inf and 0 < p < np.inf and np.all(np.isfinite(bounds))):
+        raise ValueError(f"need finite positive A and p with finite bounds, got A={A:g}, p={p:g}")
     est = isoperimetric_constant(metric, radii, p)
     case = ""
     if A < est.A_iso * (1 - 1e-9) or A < est.A_curv * (1 - 1e-9):
         case = (f"invalid: A={A:g} below measured A_iso={est.A_iso:g} "
                 f"or A_curv={est.A_curv:g}")
-    up = (2 * np.pi + A) ** (p + 1)
     worst = {}
-    for r, vol, ell in zip(radii, est.volumes, est.lengths):
+    # Python floats: a ratio past the double range is inf, with no numpy warning
+    for (low_v, low_l, up_v, up_l), vol, ell in zip(bounds.T.tolist(), est.volumes, est.lengths):
         checks = {
-            "lower_volume": (r**2 / (4 * A), vol),
-            "lower_length": (r / (2 * A), ell),
-            "upper_volume": (vol, up * r**2),
-            "upper_length": (ell, up * r),
+            "lower_volume": (low_v, vol),
+            "lower_length": (low_l, ell),
+            "upper_volume": (vol, up_v),
+            "upper_length": (ell, up_l),
         }
         for key, (lhs, rhs) in checks.items():
             if key not in worst or lhs / rhs > worst[key][0] / worst[key][1]:
@@ -306,15 +296,13 @@ def flux_variation(metric: MetricProfile, rho: float) -> float:
     return float(np.sum(np.abs(deriv)) * dr * dth)
 
 
-def flux_exponent_fit(metric: MetricProfile, p: float) -> FluxExponentFit:
-    """Fit flux_variation(rho) ~ rho^alpha over a dyadic ladder; the bound
-    predicts alpha >= 2 - 2/p."""
+def flux_exponent_fit(metric: MetricProfile) -> float | None:
+    """alpha of flux_variation(rho) ~ rho^alpha over a dyadic ladder, or None when
+    the variation vanishes (radial metrics); the bound predicts alpha >= 2 - 2/p."""
     rhos = np.array([1 / 8, 1 / 4, 3 / 8, 1 / 2])
     if not rhos[-1] < metric.domain:
         raise ValueError("domain too small for the ladder")
     values = np.array([flux_variation(metric, r) for r in rhos])
-    target = 2.0 - 2.0 / p
     if np.any(values <= 0):
-        return FluxExponentFit(values, None, target)
-    slope = float(np.polyfit(np.log(rhos), np.log(values), 1)[0])
-    return FluxExponentFit(values, slope, target)
+        return None
+    return float(np.polyfit(np.log(rhos), np.log(values), 1)[0])

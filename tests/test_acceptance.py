@@ -42,7 +42,8 @@ def test_criterion_1_rearrangement_norms():
         if nf < 0:
             failures.append((draw, "positivity"))
         lam2 = rng.uniform(0.1, 5.0)
-        if abs(zygmund_norm(f.scaled(lam2), dom) - lam2 * nf) > 1e-9 * max(nf, 1):
+        if abs(zygmund_norm(WeightedSamples(f.values * lam2, meas), dom)
+               - lam2 * nf) > 1e-9 * max(nf, 1):
             failures.append((draw, "homogeneity"))
         g = WeightedSamples(rng.normal(size=n), meas)
         fg = WeightedSamples(f.values + g.values, meas)

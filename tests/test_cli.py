@@ -165,11 +165,18 @@ class TestExitCodes:
         ["--kmin", "16", "--kmax", "8"],
         ["--kmin", "12", "--kmax", "12"],
         ["--n-local", "0"],
-    ], ids=["kmin-0", "kmax-below-kmin", "one-k", "n-local-0"])
+        # a k past 2**53 need not be an exact double
+        ["--n-local", "7", "--kmin", "11", "--kmax", str(2**53 + 1)],
+        ["--n-local", "7", "--kmin", "11", "--kmax", str(10**23)],
+    ], ids=["kmin-0", "kmax-below-kmin", "one-k", "n-local-0", "kmax-past-2**53", "kmax-1e23"])
     def test_bad_counterexample_one_line(self, capsys, argv):
         assert main(["counterexample", *argv]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_counterexample_kmax_up_to_2_53(self, capsys):
+        assert main(["counterexample", "--n-local", "7", "--kmin", "11",
+                     "--kmax", str(2**53)]) == 0
 
     @pytest.mark.parametrize("argv", [
         ["verify-geometry", "--A", "1", "--n-r", "0"],
@@ -188,6 +195,13 @@ class TestExitCodes:
         ["verify-geometry", "--A", "0"],
         ["verify-geometry", "--A", "1", "--p", "-1"],
         ["verify-geometry", "--A", "1", "--p", "0"],
+        # (2 pi + A)^(p + 1), or r^2 / (4 A) for a tiny A, past the double range
+        ["verify-geometry", "--A", "1", "--p", "400"],
+        ["verify-geometry", "--A", "1e308"],
+        ["verify-geometry", "--A", "5e-324"],
+        # no grid node lies in the spike's support: k = 64 on 8x8, k = 256 on 48x64
+        ["harnack", "--n-r", "8", "--n-theta", "8"],
+        ["harnack", "--ks", "8,16,32,64,128,256"],
         ["verify-geometry", "--metric", "perturbed:-2", "--A", "1"],
         ["verify-geometry", "--metric", "perturbed:nan", "--A", "1"],
         ["interior", "--seed", "-1"],
@@ -204,7 +218,9 @@ class TestExitCodes:
         ["counterexample", "--n-local", "7", "--format", "csv"],
     ], ids=["n-r-removed", "n-theta-removed", "no-cases", "k-0", "k-negative", "unknown-option",
             "bad-type", "no-command", "solver-tol-0", "solver-tol-negative", "solver-tol-nan",
-            "A-negative", "A-inf", "A-0", "p-negative", "p-0", "eps-negative", "eps-nan",
+            "A-negative", "A-inf", "A-0", "p-negative", "p-0", "p-overflow", "A-overflow",
+            "A-tiny-overflow", "spike-unresolved-coarse-grid", "spike-unresolved-k256",
+            "eps-negative", "eps-nan",
             "seed-negative-interior", "seed-negative-norms", "seed-negative-global",
             "cases-negative-global", "huge-grid-interior", "svg-no-out-interior",
             "csv-no-out-harnack", "svg-no-out-global", "csv-no-out-convergence",
@@ -336,13 +352,11 @@ class TestExitCodes:
         # every field is one that some caller reads; a new one is added here on purpose
         fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
                   for cls in (estimates.BmoDualityResult, estimates.CounterexampleRun,
-                              surface.FluxExponentFit, surface.IsoperimetricEstimate,
-                              pde.SolveReport)}
+                              surface.IsoperimetricEstimate, pde.SolveReport)}
         assert fields == {
-            "BmoDualityResult": ["lhs", "pairing_ratio", "naive_bound"],
+            "BmoDualityResult": ["pairing_ratio", "naive_bound"],
             "CounterexampleRun": ["k", "u0_raw", "u0_standard", "zygmund", "l1", "mean",
                                   "size_bound_minimal", "atom_in_6k", "inner_lower_bound"],
-            "FluxExponentFit": ["values", "exponent", "target"],
             "IsoperimetricEstimate": ["A_iso", "A_curv", "volumes", "lengths"],
             # `solve` writes these as its JSON keys
             "SolveReport": ["residual", "iterations", "converged", "solver", "setup_s", "solve_s"],

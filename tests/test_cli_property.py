@@ -1,12 +1,14 @@
 """Property tests of the CLI's input contract: bad `verify-norms` and `report`
-rows exit 1 with one line, never a traceback, and `verify-norms` accepts
-exactly the rows that the per-value rule accepts."""
+rows and out-of-range `verify-geometry` numbers exit 1 with one line, never a
+traceback, and `verify-norms` accepts exactly the rows that the per-value rule
+accepts."""
 import contextlib
 import io
 import json
 import os
 import sys
 import tempfile
+import warnings
 
 import pytest
 
@@ -111,3 +113,21 @@ class TestReportProperty:
     @given(st.lists(_verdict_rows | _json_values, max_size=4))
     def test_any_verdict_rows_exit_cleanly(self, rows):
         _run_on_rows("report", rows)
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+class TestVerifyGeometryProperty:
+    @settings(max_examples=50, deadline=None)
+    @given(_positive, _positive)
+    def test_any_finite_positive_A_and_p_exit_cleanly(self, A, p):
+        err = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")  # a warning would print a second line
+            code = main(["verify-geometry", "--A", repr(A), "--p", repr(p)])
+        assert code in (0, 1, 2)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ") and not caught

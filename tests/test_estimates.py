@@ -532,6 +532,17 @@ class TestGlobalPipeline:
         with pytest.raises(ValueError, match="'support_radius'"):
             run({"kind": "constant", "value": -4.0, "support_radius": "x"})
 
+    def test_zero_f(self):
+        # v = 0: the zero-gradient branch of the energy checks and the ratio's
+        # guard against ||f||* = 0
+        verdicts = estimates.global_energy_checks({"kind": "zero"}, 1 / (4 * np.pi), 16, 16)
+        assert [v.lhs for v in verdicts] == [0.0, 0.0, 0.0]
+        assert all(v.passed for v in verdicts)
+        verdicts, ratio = estimates.global_estimate({"kind": "zero"}, 16, 16, run_ladder=True)
+        assert ratio == 0.0
+        assert [v.name for v in verdicts] == ["max_principle", "ladder_cauchy"]
+        assert all(v.passed for v in verdicts)
+
     def test_cutoff_ladder(self):
         spec = {"kind": "bumps", "bumps": [{"amp": 1.0, "k": 32, "center": (0.85, 0.0)}]}
         verdicts, _ = estimates.global_estimate(spec, n_r=32, n_theta=48, run_ladder=True)

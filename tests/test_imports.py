@@ -240,7 +240,6 @@ def test_uncalled_public_functions_are_pinned():
         "pde.field_from_function",
         "pde.laplace_beltrami_apply",
         "pde.log_potential",  # reference: the counterexample family's U1
-        "rearrange.WeightedSamples.scaled",
         "rearrange.atom_check",  # reference: the counterexample family's atom
         "rearrange.pairing_upper",
         "rearrange.zygmund_modular",
