@@ -136,7 +136,7 @@ def cmd_verify_norms(args) -> int:
 def cmd_solve(args) -> int:
     case = estimates.ExperimentCase.from_dict(_load_json(args.case))
     sol = estimates.solve_case(case, tol=args.solver_tol)
-    report.write_json({"case": case.to_dict(), "pole": sol.u.pole,
+    report.write_json({"case": asdict(case), "pole": sol.u.pole,
                        "values": sol.u.values.tolist(), **asdict(sol.report)}, args.out)
     print(f"{'PASS' if sol.report.converged else 'FAIL'} solve solver={sol.report.solver} "
           f"residual={sol.report.residual:.3g} iters={sol.report.iterations} "

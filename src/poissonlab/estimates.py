@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -76,9 +76,6 @@ class ExperimentCase:
         if not self.R_inner < self.R_outer <= self.r_max * (1 + 1e-12):
             raise ValueError("need R_inner < R_outer <= r_max")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentCase":
         """Case from a JSON object; ValueError names the first bad key."""
@@ -112,10 +109,14 @@ def _is_pair(v) -> bool:
 _SPEC_KINDS = {
     "a number": _is_number,
     "a non-NaN number": lambda v: _is_number(v) and not np.isnan(v),
+    # NaN passes here and is rejected with the other non-finite data
+    "a positive number": lambda v: _is_number(v) and not (v <= 0 or v == np.inf),
     "a non-negative integer": lambda v: (isinstance(v, numbers.Integral)
                                          and not isinstance(v, bool) and v >= 0),
     "a pair of numbers": _is_pair,
     "a finite (low, high) range": lambda v: _is_pair(v) and bool(np.all(np.isfinite(v))),
+    "a finite positive (low, high) range": lambda v: (_is_pair(v)
+                                                      and all(0 < x < np.inf for x in v)),
     "a list of objects": lambda v: isinstance(v, list) and all(isinstance(b, dict) for b in v),
     "'any', 'pos' or 'neg'": lambda v: v in ("any", "pos", "neg"),
 }
@@ -140,7 +141,7 @@ def _resolve_bumps(grid: pde.PolarGrid, bumps) -> pde.DiscreteField:
     pole = 0.0
     for b in bumps:
         cx, cy = _param(b, "center", "a pair of numbers", (0.0, 0.0))
-        k = _param(b, "k", "a number")
+        k = _param(b, "k", "a positive number")  # k <= 0 would make the bump constant
         amp = _param(b, "amp", "a number")
         vals += amp * eta_radial(k * np.hypot(X - cx, Y - cy))
         pole += amp * float(eta_radial(k * np.hypot(cx, cy)))
@@ -149,7 +150,7 @@ def _resolve_bumps(grid: pde.PolarGrid, bumps) -> pde.DiscreteField:
 
 def _random_bumps_spec(rng, spec, count: int) -> list:
     lo_a, hi_a = _param(spec, "amp", "a finite (low, high) range", (0.0, 1.0))
-    lo_k, hi_k = _param(spec, "k", "a finite (low, high) range", (2.0, 8.0))
+    lo_k, hi_k = _param(spec, "k", "a finite positive (low, high) range", (2.0, 8.0))
     cmax = _param(spec, "center_r_max", "a number", 0.5)
     sign = _param(spec, "sign", "'any', 'pos' or 'neg'", "any")
     out = []
@@ -522,9 +523,14 @@ def manufactured_convergence(kind: str, resolutions):
     """Sup-norm errors and measured order against a manufactured exact
     solution with zero boundary data on B_1.  The angular resolution refines
     together with the radial one (n_theta = n_r) so both error contributions
-    shrink at the same rate."""
+    shrink at the same rate.  The order is the least-squares slope of
+    -ln error on ln n_r."""
     if kind not in ("flat", "sphere"):
         raise ValueError(f"no manufactured case for metric {kind!r}")
+    if len(resolutions) < 3:
+        raise ValueError("need at least 3 resolutions")
+    if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
+        raise ValueError("resolutions must increase")
     metric = surface.from_name(kind)
     errors = []
     for n_r in resolutions:
@@ -542,7 +548,7 @@ def manufactured_convergence(kind: str, resolutions):
             raise RuntimeError(f"manufactured solve failed at n_r={n_r}")
         err = max(abs(u.pole - exact.pole), float(np.max(np.abs(u.values - exact.values))))
         errors.append(err)
-    return errors, pde.convergence_order(errors, resolutions)
+    return errors, -fit_log_slope(resolutions, np.log(errors))
 
 
 def max_principle_corpus(n_cases: int, seed: int, n_r: int = 24,

@@ -386,16 +386,3 @@ def log_potential(f: WeightedSamples, eval_points) -> np.ndarray:
                                 * (np.log(radii[near]) - 0.5)))
         out[k] = acc / (2 * np.pi)
     return out
-
-
-def convergence_order(errors, resolutions) -> float:
-    """Mean log2 error ratio across successive dyadic resolutions."""
-    resolutions = list(resolutions)
-    if len(resolutions) < 3:
-        raise ValueError("need at least 3 resolutions")
-    if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
-        raise ValueError("resolutions must increase")
-    orders = []
-    for (e0, n0), (e1, n1) in zip(zip(errors, resolutions), zip(errors[1:], resolutions[1:])):
-        orders.append(np.log(e0 / e1) / np.log(n1 / n0))
-    return float(np.mean(orders))

@@ -131,13 +131,6 @@ def zygmund_modular(f: WeightedSamples) -> float:
     return float(np.sum(absval * np.maximum(lg, 0.0) * f.measures))
 
 
-def pairing_upper(f: WeightedSamples, h: WeightedSamples) -> float:
-    """Hardy-Littlewood upper bound int f* h* for the pairing int |f h|."""
-    if not np.isclose(f.total_measure, h.total_measure, rtol=1e-9, atol=0.0):
-        raise ValueError("mismatched total measures")
-    return rearrange(f).pairing(rearrange(h))
-
-
 def direct_pairing(f: WeightedSamples, h: WeightedSamples) -> float:
     """int |f h| for samples sharing the same cells."""
     if f.values.size != h.values.size or not np.allclose(f.measures, h.measures):

@@ -161,10 +161,16 @@ def _midpoint_mesh(radius: float):
 
 
 def curvature_lp_norm(metric: MetricProfile, p: float) -> float:
-    """||K||_{L^p(B_radius)} by midpoint quadrature, radius = min(1, domain)."""
+    """||K||_{L^p(B_radius)} by midpoint quadrature, radius = min(1, domain).
+    |K| is scaled by its maximum, so |K|^p cannot overflow; a norm past the
+    double range is inf, without a warning."""
     R, T, dr, dth = _midpoint_mesh(min(1.0, metric.domain))
-    k = gauss_curvature(metric, R, T)
-    return float(np.sum(np.abs(k) ** p * metric.G(R, T) * dr * dth) ** (1.0 / p))
+    k = np.abs(gauss_curvature(metric, R, T))
+    k_max = float(k.max())
+    if k_max == 0.0:
+        return 0.0
+    with np.errstate(over="ignore"):
+        return k_max * float(np.sum((k / k_max) ** p * metric.G(R, T) * dr * dth) ** (1.0 / p))
 
 
 def isoperimetric_constant(metric: MetricProfile, radii, p: float = 2.0) -> IsoperimetricEstimate:
@@ -191,6 +197,8 @@ def geometry_bounds_verdicts(metric: MetricProfile, A: float, p: float, radii):
     if not (0 < A < np.inf and 0 < p < np.inf and np.all(np.isfinite(bounds))):
         raise ValueError(f"need finite positive A and p with finite bounds, got A={A:g}, p={p:g}")
     est = isoperimetric_constant(metric, radii, p)
+    if not np.isfinite(est.A_curv):
+        raise ValueError(f"the curvature L^p norm overflows double precision at p={p:g}")
     case = ""
     if A < est.A_iso * (1 - 1e-9) or A < est.A_curv * (1 - 1e-9):
         case = (f"invalid: A={A:g} below measured A_iso={est.A_iso:g} "

@@ -136,8 +136,12 @@ class TestExitCodes:
         ('"seed": -3, "f": {"kind": "random_bumps", "count": 2}', "seed"),
         # the boundary's seed is the case seed + 2, which numpy would accept
         ('"seed": -1, "boundary": {"kind": "fourier"}', "seed"),
+        # k <= 0 makes eta(k |x - c|) = 1 everywhere: a constant, not a bump
+        ('"f": {"kind": "bumps", "bumps": [{"amp": -1, "k": -8}]}', "k"),
+        ('"f": {"kind": "random_bumps", "k": [-3, -1]}', "k"),
     ], ids=["bump-without-k", "string-k", "string-count", "fractional-modes", "aliased-modes",
-            "negative-seed-bumps", "negative-seed-fourier"])
+            "negative-seed-bumps", "negative-seed-fourier", "negative-k",
+            "negative-k-range"])
     def test_malformed_spec_one_line(self, tmp_path, capsys, spec, key):
         path = tmp_path / "case.json"
         path.write_text(f'{{"n_r": 16, "n_theta": 16, {spec}}}')
@@ -173,6 +177,18 @@ class TestExitCodes:
         assert main(["counterexample", *argv]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("resolutions, message", [
+        ("128,64,32", "resolutions must increase"), ("32,64", "need at least 3 resolutions")],
+        ids=["decreasing", "two"])
+    def test_bad_resolutions_refused_before_any_solve(self, capsys, monkeypatch, resolutions,
+                                                      message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a manufactured solve ran")
+
+        monkeypatch.setattr(pde, "solve_dirichlet", unreachable)
+        assert main(["convergence", "--resolutions", resolutions]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_counterexample_kmax_up_to_2_53(self, capsys):
         assert main(["counterexample", "--n-local", "7", "--kmin", "11",

@@ -118,16 +118,33 @@ class TestReportProperty:
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
+def _run_geometry(argv):
+    """Exit code, stdout and stderr of ``verify-geometry argv``, and its warnings."""
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")  # a warning would print a second line
+        code = main(["verify-geometry", *argv])
+    return code, out.getvalue(), err.getvalue(), caught
+
+
 class TestVerifyGeometryProperty:
     @settings(max_examples=50, deadline=None)
-    @given(_positive, _positive)
-    def test_any_finite_positive_A_and_p_exit_cleanly(self, A, p):
-        err = io.StringIO()
-        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
-              warnings.catch_warnings(record=True) as caught):
-            warnings.simplefilter("always")  # a warning would print a second line
-            code = main(["verify-geometry", "--A", repr(A), "--p", repr(p)])
-        assert code in (0, 1, 2)
+    @given(st.sampled_from(["flat", "sphere", "hyperbolic", "perturbed:0.05"]), _positive,
+           _positive)
+    def test_any_finite_positive_A_and_p_exit_cleanly(self, metric, A, p):
+        code, _, err, caught = _run_geometry(["--metric", metric, "--A", repr(A), "--p", repr(p)])
+        assert code in (0, 1, 2) and not caught
         if code == 1:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: ") and not caught
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_curvature_norm_one_line(self):
+        # the sphere's L^p norm of K at p = 0.001 is past the double range ...
+        code, _, err, caught = _run_geometry(["--metric", "sphere", "--A", "8", "--p", "0.001"])
+        assert code == 1 and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not caught
+        # ... but on perturbed:0.9 at p = 200 only |K|^p overflows: the norm is about 50
+        code, out, _, caught = _run_geometry(["--metric", "perturbed:0.9", "--A", "1",
+                                              "--p", "200"])
+        assert code in (0, 2) and "A_curv=50.1293" in out and not caught

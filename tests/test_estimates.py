@@ -1,5 +1,6 @@
 """Unit tests for the inequality harnesses and the counterexample family."""
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ class TestExperimentCase:
     def test_json_roundtrip(self):
         case = estimates.ExperimentCase(metric="sphere", n_r=16, n_theta=16,
                                         f={"kind": "constant", "value": 2.0}, seed=3)
-        again = estimates.ExperimentCase.from_dict(case.to_dict())
+        again = estimates.ExperimentCase.from_dict(asdict(case))
         assert again == case
 
     def test_invalid_radii(self):

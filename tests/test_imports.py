@@ -241,7 +241,6 @@ def test_uncalled_public_functions_are_pinned():
         "pde.laplace_beltrami_apply",
         "pde.log_potential",  # reference: the counterexample family's U1
         "rearrange.atom_check",  # reference: the counterexample family's atom
-        "rearrange.pairing_upper",
         "rearrange.zygmund_modular",
         "surface.flux_exponent_fit",
         "surface.kernel_pairing_check",

@@ -9,7 +9,6 @@ from poissonlab.rearrange import (
     atom_check,
     bmo_norm,
     direct_pairing,
-    pairing_upper,
     rearrange,
     zygmund_modular,
     zygmund_norm,
@@ -147,19 +146,14 @@ class TestPairing:
             meas = rng.uniform(0.01, 0.5, 30)
             f = WeightedSamples(rng.normal(size=30), meas)
             h = WeightedSamples(rng.normal(size=30), meas)
-            assert direct_pairing(f, h) <= pairing_upper(f, h) * (1 + 1e-12)
+            assert direct_pairing(f, h) <= rearrange(f).pairing(rearrange(h)) * (1 + 1e-12)
 
     def test_equality_when_aligned(self):
         meas = np.full(5, 0.3)
         vals = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
         f = WeightedSamples(vals, meas)
-        assert direct_pairing(f, f) == pytest.approx(pairing_upper(f, f), rel=1e-12)
-
-    def test_mismatched_measures(self):
-        f = WeightedSamples([1.0], [1.0])
-        h = WeightedSamples([1.0], [2.0])
-        with pytest.raises(ValueError, match="mismatched"):
-            pairing_upper(f, h)
+        assert direct_pairing(f, f) == pytest.approx(rearrange(f).pairing(rearrange(f)),
+                                                     rel=1e-12)
 
 
 class TestBmo:
