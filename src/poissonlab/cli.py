@@ -2,7 +2,7 @@
 
 Exit codes: 0 all verdicts pass, 2 any verdict fails, 1 input error
 (malformed JSON reported with line/column, missing files by path, usage
-errors and grids too large to allocate as one line).
+errors and grids past the node budget of 2**22 nodes as one line).
 """
 from __future__ import annotations
 

@@ -595,8 +595,8 @@ def _unit_bump_cells(n_local: int):
     n_local^2 midpoint grid over [-2, 2]^2 in z = k(y - y_k), where
     D = |(4, 4) + z| = k|y| and the core is |z| < 1.  U1 = (1/2pi) sum (eta/2)
     h^2 ln D needs no near-cell rule, as D > 4 sqrt 2 - 2 > h/sqrt(pi)."""
-    if n_local < 1:
-        raise ValueError("need n_local >= 1")
+    if n_local < 1 or n_local**2 > pde.NODE_BUDGET:
+        raise ValueError("need n_local >= 1 and n_local**2 within the node budget of 2**22")
     h = 4.0 / n_local
     c = -2.0 + h * (np.arange(n_local) + 0.5)
     s = np.hypot(c[:, None], c)

@@ -29,6 +29,7 @@ from .rearrange import WeightedSamples
 from .surface import MetricProfile, ball_volume
 
 SOLVE_TOL = 1e-10  # the default relative residual of a Dirichlet solve
+NODE_BUDGET = 2**22  # the most nodes of one grid: 16 times 512^2, about 0.75 GB at the cap
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,8 @@ class PolarGrid:
     def __post_init__(self):
         if self.n_r < 8 or self.n_theta < 8:
             raise ValueError("need at least 8 nodes per direction")
+        if self.n_r * self.n_theta > NODE_BUDGET:
+            raise ValueError(f"n_r * n_theta = {self.n_r * self.n_theta} > node budget 2**22")
         if not 0 < self.r_max < self.metric.domain:
             raise ValueError("r_max out of metric range")
 

@@ -116,14 +116,12 @@ def from_name(name: str) -> MetricProfile:
 
 
 def boundary_length(metric: MetricProfile, r):
-    """l(dB_r) = int_0^2pi G(r, .) dtheta by the periodic trapezoid rule on 256
-    nodes; every family's G is affine in cos theta, so any 2 or more are exact."""
+    """l(dB_r) = int_0^2pi G(r, .) dtheta by the periodic trapezoid rule on the
+    2 nodes 0 and pi; every family's G is affine in cos theta, so 2 are exact."""
     r = np.asarray(r, dtype=float)
     if not np.all((0 < r) & (r < metric.domain)):
         raise ValueError("radius out of range")
-    th = 2 * np.pi * np.arange(256) / 256
-    vals = metric.G(r[..., None], th)
-    return vals.mean(axis=-1) * 2 * np.pi
+    return metric.G(r[..., None], np.array([0.0, np.pi])).mean(axis=-1) * 2 * np.pi
 
 
 def ball_volume(metric: MetricProfile, r: float, n_r: int = 512) -> float:
@@ -132,9 +130,7 @@ def ball_volume(metric: MetricProfile, r: float, n_r: int = 512) -> float:
         raise ValueError("radius out of range")
     n = n_r + (n_r % 2)  # Simpson needs an even interval count
     t = np.linspace(0.0, r, n + 1)
-    ell = np.empty(n + 1)
-    ell[0] = 0.0
-    ell[1:] = boundary_length(metric, t[1:])
+    ell = np.append(0.0, boundary_length(metric, t[1:]))
     h = r / n
     wts = np.ones(n + 1)
     wts[1:-1:2] = 4.0
@@ -154,10 +150,11 @@ def gauss_curvature(metric: MetricProfile, r, theta):
 
 
 def _midpoint_mesh(radius: float):
-    """Midpoints (R, T) of the 512 x 256 cells of [0, radius] x [0, 2pi), and dr, dtheta."""
+    """Midpoints (R, T) of the 512 x 256 cells of [0, radius] x [0, 2pi) as the
+    sparse factors R (512, 1) and T (1, 256) that broadcast to them; dr, dtheta."""
     dr, dth = radius / 512, 2 * np.pi / 256
-    R, T = np.meshgrid((np.arange(512) + 0.5) * dr, (np.arange(256) + 0.5) * dth, indexing="ij")
-    return R, T, dr, dth
+    R, T = np.meshgrid(np.arange(512) + 0.5, np.arange(256) + 0.5, indexing="ij", sparse=True)
+    return R * dr, T * dth, dr, dth
 
 
 def curvature_lp_norm(metric: MetricProfile, p: float) -> float:
@@ -250,16 +247,15 @@ def sample_ball(metric: MetricProfile, R: float, n_r: int = 512,
     """Unit samples on the geodesic ball B_R with planar chart positions; each
     radial cell carries two Gauss-Legendre nodes so that radially singular
     kernels integrate to high accuracy."""
-    dr = R / n_r
-    dth = 2 * np.pi / n_theta
+    dr, dth = R / n_r, 2 * np.pi / n_theta
     mid = (np.arange(n_r) + 0.5) * dr
     rc = (mid[:, None] + (dr / 2) * _GAUSS2_X).ravel()
     rw = np.tile((dr / 2) * _GAUSS2_W, n_r)
     tc = (np.arange(n_theta) + 0.5) * dth
-    Rg, Tg = np.meshgrid(rc, tc, indexing="ij")
+    Rg, Tg = np.meshgrid(rc, tc, indexing="ij", sparse=True)
     meas = metric.G(Rg, Tg) * rw[:, None] * dth
     pos = np.stack([(Rg * np.cos(Tg)).ravel(), (Rg * np.sin(Tg)).ravel()], axis=-1)
-    return WeightedSamples(np.ones(Rg.size), meas.ravel(), pos)
+    return WeightedSamples(np.ones(meas.size), meas.ravel(), pos)
 
 
 def kernel_pairing_check(metric: MetricProfile, f: WeightedSamples, R: float,
@@ -296,8 +292,7 @@ def flux_variation(metric: MetricProfile, rho: float) -> float:
     if not 0 < rho < metric.domain:
         raise ValueError("radius out of range")
     Rg, Tg, dr, dth = _midpoint_mesh(rho)
-    g = metric.G(Rg, Tg)
-    dg = metric.dG(Rg, Tg)
+    g, dg = metric.G(Rg, Tg), metric.dG(Rg, Tg)
     ell = g.sum(axis=1) * dth
     dell = dg.sum(axis=1) * dth
     deriv = (dg * ell[:, None] - g * dell[:, None]) / ell[:, None] ** 2

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -250,6 +251,27 @@ class TestExitCodes:
             assert f"argument {argv[-2]}: " in err
         if argv[-2:-1] == ["--format"]:
             assert err == f"error: {argv[-1]} output requires --out\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["harnack", "--ks", "8", "--n-r", "8", "--n-theta", "100000000"],
+        ["interior", "--cases", "1", "--n-r", "8", "--n-theta", "100000000"],
+        ["counterexample", "--n-local", "100000"],
+    ], ids=["harnack", "interior", "counterexample"])
+    def test_grid_past_node_budget_one_line(self, argv):
+        # each grid fits the 128 TiB address space, so without the node budget
+        # numpy raises no MemoryError and the kernel's OOM killer ends the run;
+        # the child's address space is capped at 2 GiB (a default harnack run
+        # needs under 1 GiB), so a missing check ends in MemoryError instead
+        limit = 2 * 2**30
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "poissonlab", *argv], env=env, capture_output=True, text=True,
+            timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 1, proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "node budget" in err[0], err
 
     @pytest.mark.parametrize("name", ["perturbedXYZ", "perturbed", "perturbed:", "perturbed:abc",
                                       "perturbedX:0.1"])

@@ -333,6 +333,17 @@ class TestCounterexampleCells:
         with pytest.raises(ValueError, match="n_local"):
             estimates.counterexample_family(16, n_local=0)
 
+    def test_n_local_node_budget(self):
+        # refused before the n_local^2 cell arrays are allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="node budget"):
+                estimates._unit_bump_cells(2049)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestInterior:
     def test_closed_form_ratio(self):

@@ -1,5 +1,6 @@
 """Unit tests for the discrete Laplace-Beltrami operator and potentials."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +29,21 @@ class TestPolarGrid:
     def test_too_coarse(self):
         with pytest.raises(ValueError, match="at least 8"):
             pde.PolarGrid(surface.flat(), 4, 64, 1.0)
+
+    def test_node_budget(self):
+        # the check is one product of the two counts: nothing is allocated
+        # before it, and a grid at the budget constructs
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="node budget"):
+                pde.PolarGrid(surface.flat(), 8, 10**8, 1.0)
+            with pytest.raises(ValueError, match="node budget"):
+                pde.PolarGrid(surface.flat(), 2048, 2049, 1.0)
+            pde.PolarGrid(surface.flat(), 2048, 2048, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_r_max_out_of_range(self):
         with pytest.raises(ValueError, match="out of metric range"):

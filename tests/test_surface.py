@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from poissonlab import surface
+from poissonlab import cli, surface
 
 
 class TestMetrics:
@@ -191,3 +191,106 @@ class TestFlux:
 
     def test_flat_fit_degenerate(self):
         assert surface.flux_exponent_fit(surface.flat()) is None
+
+
+FAMILIES = ("flat", "sphere", "hyperbolic", "perturbed:0.3", "perturbed:-0.3")
+
+
+def _length_256(m, r):
+    """The periodic trapezoid rule on 256 theta nodes."""
+    th = 2 * np.pi * np.arange(256) / 256
+    return m.G(np.asarray(r, float)[..., None], th).mean(axis=-1) * 2 * np.pi
+
+
+def _full_mesh(radius):
+    dr, dth = radius / 512, 2 * np.pi / 256
+    R, T = np.meshgrid((np.arange(512) + 0.5) * dr, (np.arange(256) + 0.5) * dth, indexing="ij")
+    return R, T, dr, dth
+
+
+class TestSeparableQuadrature:
+    """The geometry quadratures evaluate 1-D factors and two theta nodes; these
+    tests pin them against the full-grid and 256-node rules they replace."""
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_G_affine_in_cos_theta(self, name):
+        # the two-node rule is exact only because G(r, .) = a(r) + b(r) cos theta
+        m = surface.from_name(name)
+        rng = np.random.default_rng(7)
+        r = rng.uniform(0.01, min(1.5, 0.99 * m.domain), 200)
+        t = rng.uniform(0.0, 2 * np.pi, 200)
+        g0, gpi = m.G(r, 0.0), m.G(r, np.pi)
+        want = (g0 + gpi) / 2 + (g0 - gpi) / 2 * np.cos(t)
+        np.testing.assert_allclose(m.G(r, t), want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_length_volume_match_256_nodes(self, name):
+        m = surface.from_name(name)
+        radii = np.array(cli.GEOMETRY_RADII)
+        np.testing.assert_allclose(surface.boundary_length(m, radii), _length_256(m, radii),
+                                   rtol=1e-15, atol=0)
+        for r in radii:
+            t = np.linspace(0.0, r, 513)
+            ell = np.append(0.0, _length_256(m, t[1:]))
+            wts = np.ones(513)
+            wts[1:-1:2], wts[2:-1:2] = 4.0, 2.0
+            want = r / 512 / 3.0 * np.sum(wts * ell)
+            assert surface.ball_volume(m, r) == pytest.approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("name", FAMILIES + ("perturbed:0.05", "perturbed:0.9"))
+    def test_grids_match_full_meshgrid(self, name):
+        m = surface.from_name(name)
+        R, T, dr, dth = _full_mesh(min(1.0, m.domain))
+        k = np.abs(-m.d2G(R, T) / m.G(R, T))
+        for p in (0.5, 2.0, 200.0):
+            with np.errstate(over="ignore"):
+                want = 0.0 if k.max() == 0 else k.max() * float(
+                    np.sum((k / k.max()) ** p * m.G(R, T) * dr * dth) ** (1.0 / p))
+            assert surface.curvature_lp_norm(m, p).hex() == want.hex()
+        R, T, dr, dth = _full_mesh(0.5)
+        g, dg = m.G(R, T), m.dG(R, T)
+        ell, dell = g.sum(axis=1) * dth, dg.sum(axis=1) * dth
+        deriv = (dg * ell[:, None] - g * dell[:, None]) / ell[:, None] ** 2
+        want = float(np.sum(np.abs(deriv)) * dr * dth)
+        assert surface.flux_variation(m, 0.5).hex() == want.hex()
+
+
+_EVALS = []  # (size of r, size of theta, inside boundary_length) per metric evaluation
+_IN_LENGTH = []
+
+
+class _Counting:
+    def _eval(self, k, r, t):
+        _EVALS.append((np.size(r), np.size(t), bool(_IN_LENGTH)))
+        return super()._eval(k, r, t)
+
+
+class CountingSphere(_Counting, surface.Sphere):
+    pass
+
+
+class CountingPerturbed(_Counting, surface.Perturbed):
+    pass
+
+
+@pytest.mark.parametrize("m, A", [(CountingSphere(), 1.75), (CountingPerturbed(0.05), 0.4)],
+                         ids=["sphere", "perturbed"])
+def test_geometry_verdicts_evaluate_factors(monkeypatch, m, A):
+    # pins the work, not the time: the full 512 x 256 grid is never evaluated
+    # point by point, and every boundary length reads G at two angles
+    length = surface.boundary_length
+
+    def counted_length(metric, r):
+        _IN_LENGTH.append(True)
+        try:
+            return length(metric, r)
+        finally:
+            _IN_LENGTH.pop()
+
+    monkeypatch.setattr(surface, "boundary_length", counted_length)
+    _EVALS.clear()
+    surface.geometry_bounds_verdicts(m, A, 2.0, cli.GEOMETRY_RADII)
+    assert _EVALS and max(n for n, _, _ in _EVALS) <= 512
+    assert max(n for _, n, _ in _EVALS) <= 256
+    in_length = [n for _, n, inside in _EVALS if inside]
+    assert in_length and set(in_length) == {2}
