@@ -7,6 +7,7 @@ errors and grids past the node budget of 2**22 nodes as one line).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -244,6 +245,7 @@ def cmd_report(args) -> int:
     return _finish(verdicts, args)
 
 
+@functools.lru_cache(maxsize=1)  # parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="poissonlab",
                 description="Verification laboratory for Zygmund-class "

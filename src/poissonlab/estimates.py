@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import pde, surface
-from .rearrange import (AtomVerdict, StepProfile, WeightedSamples, bmo_norm, rearrange,
+from .rearrange import (CHUNK, AtomVerdict, StepProfile, WeightedSamples, bmo_norm, rearrange,
                         zygmund_norm)
 from .report import VerdictReport
 
@@ -599,17 +599,29 @@ def _unit_bump_cells(n_local: int):
         raise ValueError("need n_local >= 1 and n_local**2 within the node budget of 2**22")
     h = 4.0 / n_local
     c = -2.0 + h * (np.arange(n_local) + 0.5)
-    s = np.hypot(c[:, None], c)
-    ev = eta_radial(s)
-    supp = ev > 0.0
-    ev, s = ev[supp], s[supp]
-    d = np.hypot(c[:, None] + 4.0, c + 4.0)[supp]
-    s1 = 2.0 * h * h * ev.size
+    # support cells have |z| < 2, so their squares fit in |z| < 2 + h: a bound on their number
+    size, rows = int(np.pi * (n_local / 2 + 1) ** 2) + 1, max(1, CHUNK // n_local)
+    terms, ev, log_core, n, d_max = np.empty(size), np.empty(size), [], 0, 0.0
+    for i in range(0, n_local, rows):  # row blocks of about CHUNK cells
+        s = np.hypot(c[i:i + rows, None], c)
+        e = eta_radial(s)
+        supp = e > 0.0
+        e, core = e[supp], s[supp] < 1.0
+        d = np.hypot(c[i:i + rows, None] + 4.0, c + 4.0)[supp]
+        terms[n:n + e.size] = e / 2.0 * (h * h) * np.log(d)
+        ev[n:n + e.size] = e
+        log_core.append(np.log(d[core]))
+        n, d_max = n + e.size, max(d_max, float(np.max(d, initial=0.0)))
+    u1 = float(np.sum(terms[:n])) / (2 * np.pi)
+    del terms
+    ev, log_core = ev[:n], np.concatenate(log_core)
+    s1, l1, eta_max = 2.0 * h * h * n, 2.0 * h * h * float(ev.sum()), float(ev.max())
+    ev.sort()
     # |f_1| repeats each eta twice on cells of measure h^2; each pair is one step of 2h^2
-    zyg1 = StepProfile(2.0 * h * h * np.arange(ev.size + 1), np.sort(ev)[::-1]).zygmund_norm(s1)
-    u1 = float(np.sum(ev / 2.0 * (h * h) * np.log(d))) / (2 * np.pi)
-    return (h, u1, 2.0 * h * h * float(ev.sum()), zyg1, s1, float(d.max()), float(ev.max()),
-            int(np.count_nonzero(s < 1.0)), float(np.sum(np.log(d[s < 1.0]))))
+    steps = np.arange(n + 1, dtype=float)
+    steps *= 2.0 * h * h
+    zyg1 = StepProfile(steps, ev[::-1]).zygmund_norm(s1)
+    return (h, u1, l1, zyg1, s1, d_max, eta_max, log_core.size, float(np.sum(log_core)))
 
 
 def counterexample_family(k: int, n_local: int) -> CounterexampleRun:

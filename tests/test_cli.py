@@ -445,6 +445,17 @@ class TestSubcommands:
     def test_verify_norms_selfcheck(self, capsys):
         assert main(["verify-norms"]) == 0
 
+    def test_consecutive_calls_share_no_state(self, capsys):
+        # one parser serves every call; an option given to one call is not kept
+        assert build_parser() is build_parser()
+        assert main(["verify-norms", "--domain-measure", "1000"]) == 0
+        assert "(domain measure 1000)" in capsys.readouterr().err
+        rng = np.random.default_rng(0)  # the default field: 200 normal values, then measures
+        rng.normal(size=200)
+        total = float(rng.uniform(0.01, 1.0, size=200).sum())
+        assert main(["verify-norms"]) == 0
+        assert f"(domain measure {total:.6g})" in capsys.readouterr().err
+
     def test_verify_norms_rearranges_once(self, monkeypatch, capsys):
         calls = []
         original = rearrange.rearrange

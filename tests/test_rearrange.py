@@ -4,6 +4,7 @@ import pytest
 
 from poissonlab import estimates, pde, surface
 from poissonlab.rearrange import (
+    CHUNK,
     AtomVerdict,
     WeightedSamples,
     atom_check,
@@ -128,6 +129,30 @@ class TestZygmundNorm:
         f = WeightedSamples([1.0], [2.0])
         with pytest.raises(ValueError, match="domain smaller"):
             zygmund_norm(f, 1.0)
+
+    @staticmethod
+    def _full_array_norm(prof, domain):
+        # the antiderivative sum on the whole profile at once
+        t = prof.breakpoints[1:]
+        ft = np.concatenate([[0.0], t * (np.log(domain / t) + 1.0)])
+        return float(np.sum(prof.values * np.diff(ft)))
+
+    def test_chunked_sum_matches_full_array(self):
+        rng = np.random.default_rng(11)
+        prof = rearrange(WeightedSamples(rng.normal(size=200000), rng.uniform(0.01, 1.0, 200000)))
+        domain = 1.5 * prof.support_measure
+        assert prof.zygmund_norm(domain) == pytest.approx(self._full_array_norm(prof, domain),
+                                                          rel=1e-13, abs=0.0)
+
+    def test_one_chunk_is_the_full_array_sum(self):
+        # the interior corpus's f at 64x96: 6145 nodes, one chunk, bitwise
+        case = estimates.random_interior_case(0, 64, 96, "flat")
+        grid = pde.PolarGrid(surface.from_name(case.metric), case.n_r, case.n_theta, case.r_max)
+        f = WeightedSamples(*estimates.resolve_field(grid, case.f, case.seed).quadrature(None))
+        prof = rearrange(f)
+        assert prof.values.size <= CHUNK
+        for domain in (f.total_measure, 2.0 * f.total_measure):
+            assert prof.zygmund_norm(domain).hex() == self._full_array_norm(prof, domain).hex()
 
 
 class TestZygmundModular:
