@@ -224,12 +224,20 @@ class CaseSolution:
 
 def solve_case(case: ExperimentCase, tol: float = pde.SOLVE_TOL) -> CaseSolution:
     grid = pde.PolarGrid(surface.from_name(case.metric), case.n_r, case.n_theta, case.r_max)
-    f = resolve_field(grid, case.f, case.seed)
     gspec = case.g or {"kind": "zero"}
-    g = None if gspec.get("kind") == "zero" else resolve_field(grid, gspec, case.seed + 1)
-    boundary = resolve_boundary(grid, case.boundary, case.seed + 2)
+    with np.errstate(over="ignore"):  # finite data can overflow; solve_dirichlet refuses it
+        f = resolve_field(grid, case.f, case.seed)
+        g = None if gspec.get("kind") == "zero" else resolve_field(grid, gspec, case.seed + 1)
+        boundary = resolve_boundary(grid, case.boundary, case.seed + 2)
     u, rep = pde.solve_dirichlet(grid, g, f, boundary, tol=tol)
     return CaseSolution(case, grid, u, f, g, rep)
+
+
+def _require_converged(rep: pde.SolveReport, case_id: str) -> None:
+    # a harness reads only converged solves; solve_case leaves the choice to its caller
+    if not rep.converged:
+        raise ValueError(f"case {case_id}: the solve missed its tolerance "
+                         f"(true residual {rep.residual:.3g})")
 
 
 def field_zygmund_norm(fld: pde.DiscreteField, radius: float | None = None) -> float:
@@ -286,18 +294,17 @@ def run_interior_corpus(n_cases: int, seed: int, n_r: int, n_theta: int,
     return reports, constant, skipped
 
 
-def harnack_ratio(sol: CaseSolution) -> VerdictReport | None:
-    """max u over B_{1/2} against min u + ||f||* for nonnegative solutions of
-    Lap u = f; returns None for cases that fail the positivity screen."""
+def harnack_ratio(sol: CaseSolution) -> float | None:
+    """The ratio of max u over B_{1/2} to max(min u, 0) + ||f||* for nonnegative
+    solutions of Lap u = f; None for cases that fail the positivity screen."""
     if sol.g is not None and (np.any(sol.g.values) or sol.g.pole):
         raise ValueError("Harnack harness requires g = 0")
     umin_all, umax_all = sol.u.min_max()
     if umin_all < -1e-8 * (max(-umin_all, umax_all) + 1e-30):  # the scale is sup|u|
         return None
     umin, umax = sol.u.min_max(sol.case.R_inner)
-    umin = max(umin, 0.0)
-    fnorm = field_zygmund_norm(sol.f, sol.case.R_outer)
-    return VerdictReport("harnack_ratio", umax, umin + fnorm, 9.0, sol.case.case_id)
+    rhs = max(umin, 0.0) + field_zygmund_norm(sol.f, sol.case.R_outer)
+    return umax / rhs if rhs else (np.inf if umax else 0.0)  # as VerdictReport.ratio
 
 
 def harnack_spike_corpus(ks, n_r: int, n_theta: int):
@@ -316,10 +323,12 @@ def harnack_spike_corpus(ks, n_r: int, n_theta: int):
         case = ExperimentCase(n_r=n_r, n_theta=n_theta,
                               f={"kind": "bumps", "bumps": [dict(sink, amp=-1.0 / norm)]},
                               boundary={"kind": "constant", "value": 1.0}, case_id=f"spike-k{k}")
-        verdict = harnack_ratio(solve_case(case))
-        if verdict is None:
-            raise RuntimeError(f"positivity screen rejected spike case k={k}")
-        ratios.append(verdict.ratio)
+        sol = solve_case(case)
+        _require_converged(sol.report, case.case_id)
+        ratio = harnack_ratio(sol)
+        if ratio is None:
+            raise ValueError(f"positivity screen rejected spike case k={k}")
+        ratios.append(ratio)
     return np.array(ratios)
 
 
@@ -460,11 +469,12 @@ def global_energy_checks(f_spec: dict, A: float, n_r: int, n_theta: int):
     """
     case = _extended_case(f_spec, n_r, n_theta, "global-energy")
     sol = solve_case(case)
+    _require_converged(sol.report, case.case_id)
     v, V = sol.u, sol.grid.total_measure
     C0 = 2.0 * np.e * np.sqrt(A)
     gn = pde.gradient_l2(v)
     if gn == 0.0 and v.sup_norm() > 1e-12:
-        raise RuntimeError("zero gradient with nonzero field: discretization fault")
+        raise ValueError("zero gradient with nonzero field: discretization fault")
 
     Cm = C0 * 1.2
     if gn == 0.0:
@@ -500,6 +510,8 @@ def global_estimate(f_spec: dict, n_r: int, n_theta: int, run_ladder: bool):
     inner = ExperimentCase(n_r=n_r, n_theta=n_theta, f=dict(f_spec), case_id="global-u")
     sol_u = solve_case(inner)
     sol_v = solve_case(_extended_case(f_spec, 2 * n_r, n_theta, "global-v"))
+    for sol in (sol_u, sol_v):
+        _require_converged(sol.report, sol.case.case_id)
     sup_u = sol_u.u.sup_norm(1.0)
     fnorm = field_zygmund_norm(sol_u.f, 1.0)
     verdicts = [VerdictReport("max_principle", sup_u, 2.0 * sol_v.u.sup_norm(1.0) + 1e-2,
@@ -509,7 +521,8 @@ def global_estimate(f_spec: dict, n_r: int, n_theta: int, run_ladder: bool):
         # v_16 - v_8 solves the source f (eta_16 - eta_8) with zero data, by linearity
         eta_ab = _cutoff_eta_n(grid2, 16) - _cutoff_eta_n(grid2, 8)
         dfn = pde.DiscreteField(grid2, sol_v.f.values * eta_ab[:, None])
-        diff, _ = pde.solve_dirichlet(grid2, None, dfn, np.zeros(grid2.n_theta))
+        diff, rep = pde.solve_dirichlet(grid2, None, dfn, np.zeros(grid2.n_theta))
+        _require_converged(rep, "global-ladder")
         verdicts.append(VerdictReport("ladder_cauchy", diff.sup_norm(1.5),
                                       5.0 * field_zygmund_norm(dfn, 1.0) + 1e-9, case="global"))
     return verdicts, (sup_u / fnorm if fnorm > 0 else 0.0)
@@ -519,13 +532,21 @@ def global_estimate(f_spec: dict, n_r: int, n_theta: int, run_ladder: bool):
 # solver verification harnesses
 # ---------------------------------------------------------------------------
 
+# exact u (zero on the unit circle) and f = Lap u per metric, as functions of the chart (x, y)
+_MANUFACTURED = {
+    "flat": (lambda x, y: (1.0 - x**2 - y**2) * (1.0 + x), lambda x, _y: -4.0 - 8.0 * x),
+    "sphere": (lambda x, y: np.cos(np.hypot(x, y)) - np.cos(1.0),
+               lambda x, y: -2.0 * np.cos(np.hypot(x, y))),
+}
+
+
 def manufactured_convergence(kind: str, resolutions):
     """Sup-norm errors and measured order against a manufactured exact
     solution with zero boundary data on B_1.  The angular resolution refines
     together with the radial one (n_theta = n_r) so both error contributions
     shrink at the same rate.  The order is the least-squares slope of
     -ln error on ln n_r."""
-    if kind not in ("flat", "sphere"):
+    if kind not in _MANUFACTURED:
         raise ValueError(f"no manufactured case for metric {kind!r}")
     if len(resolutions) < 3:
         raise ValueError("need at least 3 resolutions")
@@ -535,17 +556,11 @@ def manufactured_convergence(kind: str, resolutions):
     errors = []
     for n_r in resolutions:
         grid = pde.PolarGrid(metric, n_r, n_r, 1.0)
-        R, T = grid.mesh()
-        if kind == "flat":
-            exact = pde.DiscreteField(grid, 1.0 - R**2 + (R - R**3) * np.cos(T), 1.0)
-            f = pde.DiscreteField(grid, -4.0 - 8.0 * R * np.cos(T), -4.0)
-        else:
-            exact = pde.DiscreteField(grid, np.cos(R) - np.cos(1.0) + 0.0 * T,
-                                      1.0 - np.cos(1.0))
-            f = pde.DiscreteField(grid, -2.0 * np.cos(R) + 0.0 * T, -2.0)
+        exact, f = (pde.field_from_function(grid, func) for func in _MANUFACTURED[kind])
         u, rep = pde.solve_dirichlet(grid, None, f, np.zeros(n_r), tol=1e-11)
         if not rep.converged:
-            raise RuntimeError(f"manufactured solve failed at n_r={n_r}")
+            raise ValueError(f"manufactured {kind} solve at n_r={n_r} missed tol 1e-11: "
+                             f"true residual {rep.residual:.3g}")
         err = max(abs(u.pole - exact.pole), float(np.max(np.abs(u.values - exact.values))))
         errors.append(err)
     return errors, -fit_log_slope(resolutions, np.log(errors))
@@ -565,6 +580,7 @@ def max_principle_corpus(n_cases: int, seed: int, n_r: int = 24,
                "center_r_max": 0.6, "sign": "pos", "seed": seed * 65537 + 2 * i + 1},
             seed=seed, case_id=f"maxp-{i}")
         sol = solve_case(case)
+        _require_converged(sol.report, case.case_id)
         umin, _ = sol.u.min_max()
         if umin < -1e-8 * (sol.u.sup_norm() + 1.0):
             violations += 1

@@ -320,10 +320,14 @@ def solve_dirichlet(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
         raise ValueError(f"solver tolerance must be finite and positive, got {tol}")
     boundary = np.broadcast_to(np.asarray(boundary, dtype=float), (grid.n_theta,)).copy()
     start = time.perf_counter()
-    A, rhs = assemble_system(grid, g, f, boundary)
+    with np.errstate(over="ignore"):  # finite data can overflow: refused below
+        A, rhs = assemble_system(grid, g, f, boundary)
+        bnorm = float(np.linalg.norm(rhs))
     # the weights are positive and finite, so this rejects non-finite f, g or boundary data
     if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(A.data))):
         raise ValueError("f, g and boundary values must be finite")
+    if bnorm == np.inf:  # cg would take |b| as inf and iterate to NaN
+        raise ValueError("the right-hand side's 2-norm overflows double precision")
     count = [0]
 
     def cb(_):
@@ -338,7 +342,6 @@ def solve_dirichlet(grid: PolarGrid, g: DiscreteField | None, f: DiscreteField,
                      M=precond, callback=cb)
     solve_s = time.perf_counter() - setup_end
     rnorm = float(np.linalg.norm(A @ x - rhs))
-    bnorm = float(np.linalg.norm(rhs))
     rel = rnorm / bnorm if bnorm > 0 else rnorm
     report = SolveReport(rel, count[0], bool(info == 0 and rel <= tol),
                          "cg" if spd else "bicgstab", setup_end - start, solve_s)

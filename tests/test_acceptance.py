@@ -200,17 +200,17 @@ def test_criterion_6_interior():
 def test_criterion_7_harnack():
     case = estimates.ExperimentCase(n_r=32, n_theta=32,
                                     boundary={"kind": "constant", "value": 1.0})
-    v = estimates.harnack_ratio(estimates.solve_case(case))
+    ratio = estimates.harnack_ratio(estimates.solve_case(case))
     # u == 1 solves the discrete system exactly; the Krylov iterate carries
     # only its residual tolerance
-    const_ok = abs(v.ratio - 1.0) <= 1e-9
+    const_ok = abs(ratio - 1.0) <= 1e-9
     ks = (8, 16, 32, 64)
     ratios = estimates.harnack_spike_corpus(ks, 48, 64)
     med = float(np.median(ratios))
     spike_ok = float(np.max(ratios)) <= 3.0 * med
     ok = const_ok and spike_ok
     _verdict("criterion-7 harnack", ok,
-             f"constant-solution ratio {v.ratio:.12f} == 1 to solver tolerance; spike ratios "
+             f"constant-solution ratio {ratio:.12f} == 1 to solver tolerance; spike ratios "
              f"[{', '.join(f'{r:.3f}' for r in ratios)}] max <= 3 x median {med:.3f}")
 
 

@@ -127,6 +127,47 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "error: f, g and boundary values must be finite"]
 
+    @pytest.mark.parametrize("text", [
+        '{"n_r": 16, "n_theta": 16, "f": {"kind": "bumps", '
+        '"bumps": [{"k": 4, "amp": 1e308}, {"k": 4, "amp": 1e308}]}}',
+        '{"n_r": 16, "n_theta": 16, "boundary": {"kind": "fourier", "amp": 1e308}}',
+        '{"n_r": 16, "n_theta": 16, "f": {"kind": "constant", "value": 1e300}, '
+        '"g": {"kind": "constant", "value": 1e10}}',
+    ], ids=["bump-sum", "fourier-boundary-flux", "rhs-norm"])
+    def test_overflowing_finite_case_one_line(self, tmp_path, capsys, text):
+        # finite data whose field, boundary flux or right-hand-side norm overflows
+        path = tmp_path / "case.json"
+        path.write_text(text)
+        assert main(["solve", "--case", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_unconverged_solve_fails_solve_and_refuses_global(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # `solve` reports a missed tolerance as FAIL; a harness refuses to read it
+        solve = pde.solve_dirichlet
+
+        def missed(*args, **kwargs):
+            u, rep = solve(*args, **kwargs)
+            return u, dataclasses.replace(rep, converged=False)
+
+        monkeypatch.setattr(pde, "solve_dirichlet", missed)
+        path = tmp_path / "case.json"
+        path.write_text('{"n_r": 16, "n_theta": 16, "f": {"kind": "constant", "value": -4}}')
+        assert main(["solve", "--case", str(path), "--out", str(tmp_path / "u.json")]) == 2
+        assert capsys.readouterr().err.startswith("FAIL solve ")
+        assert main(["global", "--cases", "0", "--n-r", "16", "--n-theta", "16"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: case global-u: ")
+
+    def test_manufactured_solve_below_its_floor_one_line(self, capsys):
+        # from n_r = 192 the true residual of CG sits above the manufactured tol 1e-11
+        assert main(["convergence", "--metrics", "sphere", "--resolutions", "64,128,192"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: manufactured sphere solve at n_r=192 missed tol 1e-11: "
+                              "true residual ")
+
     @pytest.mark.parametrize("spec, key", [
         ('"f": {"kind": "bumps", "bumps": [{"amp": 1}]}', "k"),
         ('"f": {"kind": "bumps", "bumps": [{"amp": 1, "k": "4"}]}', "k"),
@@ -620,6 +661,13 @@ class TestSubcommands:
         lower, upper = json.loads(out.read_text())
         assert (lower["name"], lower["lhs"]) == ("convergence_order_flat", 1.7)
         assert (upper["name"], upper["rhs"]) == ("convergence_order_flat_upper", 2.3)
+
+    def test_interior_verdict_bound(self, tmp_path, capsys):
+        # each interior verdict passes up to a constant of 10: lhs <= rhs (1 + 9)
+        out = tmp_path / "interior.json"
+        assert main(["interior", "--cases", "2", "--n-r", "16", "--n-theta", "16",
+                     "--out", str(out)]) == 0
+        assert [r["tol"] for r in json.loads(out.read_text())] == [9.0, 9.0]
 
     def test_harnack_small(self, capsys):
         assert main(["harnack", "--ks", "8,16", "--n-r", "24",

@@ -1,6 +1,6 @@
 """Unit tests for the inequality harnesses and the counterexample family."""
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -394,6 +394,27 @@ class TestInterior:
         assert len(reports) + skipped == 6
         assert np.isfinite(constant)
 
+    @staticmethod
+    def _flat_solution(f_func, boundary):
+        grid = pde.PolarGrid(surface.flat(), 64, 96, 1.0)
+        f = pde.field_from_function(grid, f_func)
+        u, rep = pde.solve_dirichlet(grid, None, f, boundary)
+        assert rep.converged
+        return estimates.CaseSolution(estimates.ExperimentCase(), grid, u, f, None, rep)
+
+    def test_harmonic_oracle_reads_the_inner_ball(self):
+        # u = r^2 cos 2theta: sup over B_{1/2} is 1/4 and ||u||_{L1(B_1)} = 1, so the
+        # ratio is 1/4; a sup over B_1 would read about 1
+        sol = self._flat_solution(lambda x, _y: 0.0 * x, np.cos(2 * np.arange(96) * np.pi / 48))
+        assert estimates.interior_ratio(sol).ratio == pytest.approx(0.25, abs=2e-3)
+
+    def test_radial_oracle_reads_the_zygmund_norm(self):
+        # u = (1 - r^2)^2, f = 16 r^2 - 8: sup u = 1, ||u||_L1 = pi/3 and, with
+        # f*(t) = 8 (1 - t/pi), ||f||* = 6 pi, so the ratio is 3/(19 pi); the L1 norm
+        # 4 pi of f would give 3/(13 pi) = 0.0735
+        sol = self._flat_solution(lambda x, y: 16.0 * (x**2 + y**2) - 8.0, 0.0)
+        assert estimates.interior_ratio(sol).ratio == pytest.approx(3 / (19 * np.pi), abs=1e-4)
+
 
 def _rotate(a):
     return np.roll(a, 7, axis=-1)  # theta -> theta + 7 cells
@@ -462,8 +483,7 @@ class TestHarnack:
     def test_constant_solution(self):
         case = estimates.ExperimentCase(n_r=16, n_theta=16,
                                         boundary={"kind": "constant", "value": 1.0})
-        v = estimates.harnack_ratio(estimates.solve_case(case))
-        assert v.ratio == pytest.approx(1.0, abs=1e-9)
+        assert estimates.harnack_ratio(estimates.solve_case(case)) == pytest.approx(1.0, abs=1e-9)
 
     def test_positive_harmonic(self):
         # u = 2 + r cos(theta): max/min over closed B_{1/2} is 2.5/1.5
@@ -473,8 +493,7 @@ class TestHarnack:
         f = pde.constant_field(grid, 0.0)
         u, rep = pde.solve_dirichlet(grid, None, f, b, tol=1e-12)
         sol = estimates.CaseSolution(case, grid, u, f, None, rep)
-        v = estimates.harnack_ratio(sol)
-        assert v.ratio == pytest.approx(2.5 / 1.5, rel=1e-2)
+        assert estimates.harnack_ratio(sol) == pytest.approx(2.5 / 1.5, rel=1e-2)
 
     def test_sign_screen(self):
         case = estimates.ExperimentCase(n_r=16, n_theta=16,
@@ -489,7 +508,7 @@ class TestHarnack:
             for g in ({"kind": "zero"}, {"kind": "constant", "value": 0})]
         assert sols[0].g is None and sols[1].g is not None
         zero, valued = map(estimates.harnack_ratio, sols)
-        assert (valued.lhs, valued.rhs) == (zero.lhs, zero.rhs)
+        assert valued == zero
 
     def test_spike_ratios_pinned(self):
         # the default corpus's ratios when each sink was divided by its norm after
@@ -549,6 +568,25 @@ class TestGlobalPipeline:
                                               "rearrangement_log_bound",
                                               "energy_bound"]
         assert all(v.passed for v in verdicts)
+
+    def test_energy_constant_is_flat_isoperimetric_constant(self):
+        # V/l^2 = 1/(4 pi) on every flat disk, and K = 0
+        assert estimates.energy_constant() == pytest.approx(1 / (4 * np.pi), rel=1e-12)
+
+    def test_energy_chain_pinned(self):
+        # f = -4 on B_1, extended by zero to B_2, at 32x48: each side to the digits its
+        # tol-1e-10 solve supports; the constants are 2e sqrt(A) and the headroom 1.2
+        verdicts = estimates.global_energy_checks({"kind": "constant", "value": -4.0},
+                                                  1 / (4 * np.pi), 32, 48)
+        assert [x for v in verdicts for x in (v.lhs, v.rhs)] == pytest.approx(
+            [1.6347617435620703, 12.569438575934944, 1.708407145325025, 21.35091358321074,
+             5.096070930841747, 24.594532894344876], rel=1e-6)
+
+    def test_ladder_bound_pinned(self):
+        # 5 ||f (eta_16 - eta_8)||* + 1e-9 for f = -4 at 32x48; no solve enters the bound
+        [_, cauchy], _ = estimates.global_estimate({"kind": "constant", "value": -4.0},
+                                                   32, 48, run_ladder=True)
+        assert cauchy.rhs == pytest.approx(11.662133873164532, rel=1e-12)
 
     def test_max_principle_comparison(self):
         [maxp], _ = estimates.global_estimate({"kind": "constant", "value": -4.0},
@@ -633,6 +671,45 @@ class TestGlobalPipeline:
         safe = estimates.sobolev_check(u, 1.0, 1 / np.pi)
         assert not tight.passed
         assert safe.passed
+
+
+class TestHarnessesReadConvergedSolves:
+    """Every harness but the interior corpus refuses a solve that missed its
+    tolerance; the corpus skips and counts it."""
+
+    @staticmethod
+    def _miss(monkeypatch, which=None):
+        # solve number `which` (every solve for None) reports converged=False
+        solve, calls = pde.solve_dirichlet, []
+
+        def missed(*args, **kwargs):
+            u, rep = solve(*args, **kwargs)
+            calls.append(len(calls))
+            return u, replace(rep, converged=which not in (None, calls[-1]))
+
+        monkeypatch.setattr(pde, "solve_dirichlet", missed)
+
+    @pytest.mark.parametrize("which, case", [(0, "global-u"), (1, "global-v"),
+                                             (2, "global-ladder")])
+    def test_global_estimate(self, monkeypatch, which, case):
+        self._miss(monkeypatch, which)
+        with pytest.raises(ValueError, match=f"^case {case}: .*true residual"):
+            estimates.global_estimate({"kind": "constant", "value": -4.0}, 16, 16, True)
+
+    @pytest.mark.parametrize("run, case", [
+        (lambda: estimates.global_energy_checks({"kind": "constant", "value": -4.0},
+                                                1 / (4 * np.pi), 16, 16), "global-energy"),
+        (lambda: estimates.harnack_spike_corpus((8,), 16, 16), "spike-k8"),
+        (lambda: estimates.max_principle_corpus(1, 0, 16, 16), "maxp-0"),
+    ], ids=["energy", "spikes", "max-principle"])
+    def test_harness_refuses(self, monkeypatch, run, case):
+        self._miss(monkeypatch)
+        with pytest.raises(ValueError, match=f"^case {case}: .*true residual"):
+            run()
+
+    def test_interior_corpus_skips(self, monkeypatch):
+        self._miss(monkeypatch)
+        assert estimates.run_interior_corpus(2, 0, 16, 16) == ([], 0.0, 2)
 
 
 class TestSolverHarnesses:

@@ -237,7 +237,6 @@ def test_uncalled_public_functions_are_pinned():
         "estimates.random_zero_boundary_field",
         "estimates.sobolev_check",
         "pde.DiscreteField.as_samples",
-        "pde.field_from_function",
         "pde.laplace_beltrami_apply",
         "pde.log_potential",  # reference: the counterexample family's U1
         "rearrange.atom_check",  # reference: the counterexample family's atom

@@ -136,6 +136,37 @@ class TestGeometryBounds:
         verdicts = surface.geometry_bounds_verdicts(surface.sphere(), 0.1592, 2.0, [0.5])
         assert all("invalid" in v.case for v in verdicts)
 
+    def test_flat_lower_bounds_each_equalities(self):
+        # V = pi r^2 = r^2/(4A) and l = 2 pi r = r/(2A) at A = 1/(4 pi), each bound apart
+        low_v, low_l, _, _ = surface.geometry_bounds_verdicts(surface.flat(), 1 / (4 * np.pi),
+                                                              2.0, cli.GEOMETRY_RADII)
+        assert (low_v.name, low_l.name) == ("geometry_lower_volume", "geometry_lower_length")
+        assert [low_v.ratio, low_l.ratio] == pytest.approx([1.0, 1.0], abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["flat", "sphere", "hyperbolic", "perturbed:0.05"])
+    @pytest.mark.parametrize("A, p, radii", [
+        (0.08, 2.0, cli.GEOMETRY_RADII), (1.75, 0.5, cli.GEOMETRY_RADII),
+        (1e5, 20.0, cli.GEOMETRY_RADII), (1e-310, 2.0, (0.01, 0.02))],  # last: lower ratios inf
+        ids=["A-0.08", "A-1.75-p-0.5", "A-1e5-p-20", "ratio-overflow"])
+    def test_worst_pairs_match_radius_loop(self, name, A, p, radii):
+        # the per-radius loop over Python floats that one argmax per bound replaced:
+        # the first radius with the largest ratio, a ratio past the double range inf
+        m, radii = surface.from_name(name), np.array(radii)
+        up = np.float64(2 * np.pi + A) ** (p + 1)
+        bounds = np.array([radii**2 / (4 * A), radii / (2 * A), up * radii**2, up * radii])
+        est = surface.isoperimetric_constant(m, radii, p)
+        worst = {}
+        for (low_v, low_l, up_v, up_l), vol, ell in zip(bounds.T.tolist(), est.volumes,
+                                                        est.lengths):
+            checks = {"lower_volume": (low_v, vol), "lower_length": (low_l, ell),
+                      "upper_volume": (vol, up_v), "upper_length": (ell, up_l)}
+            for key, (lhs, rhs) in checks.items():
+                if key not in worst or lhs / rhs > worst[key][0] / worst[key][1]:
+                    worst[key] = (lhs, rhs)
+        got = surface.geometry_bounds_verdicts(m, A, p, radii)
+        assert [(v.name, v.lhs, v.rhs) for v in got] == [
+            (f"geometry_{k}", lhs, rhs) for k, (lhs, rhs) in worst.items()]
+
 
 class TestKernel:
     def test_flat_closed_form(self):
@@ -174,6 +205,20 @@ class TestKernel:
     def test_rearrangement_bound(self):
         v = surface.kernel_rearrangement_bound(surface.flat(), 1.0, 1 / (4 * np.pi))
         assert v.passed
+
+    @pytest.mark.parametrize("name", ["flat", "sphere", "hyperbolic", "perturbed:0.3"])
+    def test_rearrangement_bound_matches_256_angles(self, name):
+        # two angles with cos theta = 0 give each ring's measure as 256 angles do
+        m = surface.from_name(name)
+        samples = surface.sample_ball(m, 1.0)
+        x, y = samples.positions[::256].T
+        vals = surface.kernel_weight_profile(m, 1.0, np.hypot(x, y))
+        t = np.append(0.0, np.cumsum(samples.measures.reshape(-1, 256).sum(axis=1))[:-1])
+        with np.errstate(divide="ignore"):
+            bound = 0.2 * np.log(samples.total_measure / t)
+        worst = int(np.argmax(vals / bound))
+        v = surface.kernel_rearrangement_bound(m, 1.0, 0.2)
+        assert (v.lhs, v.rhs) == pytest.approx((vals[worst], bound[worst]), rel=1e-14)
 
 
 class TestFlux:
