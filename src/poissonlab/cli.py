@@ -192,7 +192,7 @@ def cmd_counterexample(args) -> int:
         ks.append(k)
         k *= 2
     runs = [estimates.counterexample_family(k, args.n_local) for k in ks]
-    slope = estimates.fit_log_slope(ks, [r.u0_raw for r in runs])
+    slope = surface.fit_log_slope(ks, [r.u0_raw for r in runs])
     if args.format == "csv":
         header = ["k", "u0_raw", "u0_standard", "zygmund_norm", "l1_norm", "atom_size_bound",
                   "min_radius"]

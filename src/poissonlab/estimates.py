@@ -19,6 +19,7 @@ from . import pde, surface
 from .rearrange import (CHUNK, AtomVerdict, StepProfile, WeightedSamples, bmo_norm, rearrange,
                         zygmund_norm)
 from .report import VerdictReport
+from .surface import fit_log_slope
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +137,11 @@ def _param(spec: dict, key: str, kind: str, default=_REQUIRED):
 
 
 def _resolve_bumps(grid: pde.PolarGrid, bumps) -> pde.DiscreteField:
-    X, Y = grid.node_positions()
-    vals = np.zeros_like(X)
-    pole = 0.0
-    for b in bumps:
-        cx, cy = _param(b, "center", "a pair of numbers", (0.0, 0.0))
-        k = _param(b, "k", "a positive number")  # k <= 0 would make the bump constant
-        amp = _param(b, "amp", "a number")
-        vals += amp * eta_radial(k * np.hypot(X - cx, Y - cy))
-        pole += amp * float(eta_radial(k * np.hypot(cx, cy)))
-    return pde.DiscreteField(grid, vals, pole)
+    parsed = [(_param(b, "center", "a pair of numbers", (0.0, 0.0)),
+               _param(b, "k", "a positive number"),  # k <= 0 would make the bump constant
+               _param(b, "amp", "a number")) for b in bumps]
+    return pde.field_from_function(grid, lambda x, y: sum(
+        amp * eta_radial(k * np.hypot(x - cx, y - cy)) for (cx, cy), k, amp in parsed))
 
 
 def _random_bumps_spec(rng, spec, count: int) -> list:
@@ -345,9 +341,8 @@ def mean_value_deviation(sol: CaseSolution, rho: float, C: float) -> VerdictRepo
         raise ValueError("rho exceeds domain")
     i = int(round(rho / grid.dr)) - 1
     i = min(max(i, 0), grid.n_r - 1)
-    r_i = grid.r_nodes[i]
-    gvals = grid.metric.G(r_i, grid.theta_nodes)
-    avg = float(np.sum(u.values[i] * gvals) / np.sum(gvals))
+    r_i, w = grid.r_nodes[i], grid.node_weights()[i]
+    avg = float(np.sum(u.values[i] * w) / np.sum(w))
     lhs = abs(u.pole - avg)
     fnorm = field_zygmund_norm(sol.f, r_i)
     gnorm = 0.0 if sol.g is None else field_zygmund_norm(sol.g, r_i)
@@ -557,10 +552,10 @@ def manufactured_convergence(kind: str, resolutions):
     for n_r in resolutions:
         grid = pde.PolarGrid(metric, n_r, n_r, 1.0)
         exact, f = (pde.field_from_function(grid, func) for func in _MANUFACTURED[kind])
-        u, rep = pde.solve_dirichlet(grid, None, f, np.zeros(n_r), tol=1e-11)
+        u, rep = pde.solve_dirichlet(grid, None, f, np.zeros(n_r))
         if not rep.converged:
-            raise ValueError(f"manufactured {kind} solve at n_r={n_r} missed tol 1e-11: "
-                             f"true residual {rep.residual:.3g}")
+            raise ValueError(f"manufactured {kind} solve at n_r={n_r} missed tol "
+                             f"{pde.SOLVE_TOL:g}: true residual {rep.residual:.3g}")
         err = max(abs(u.pole - exact.pole), float(np.max(np.abs(u.values - exact.values))))
         errors.append(err)
     return errors, -fit_log_slope(resolutions, np.log(errors))
@@ -674,6 +669,3 @@ def counterexample_family(k: int, n_local: int) -> CounterexampleRun:
                              zyg1 + float(np.log(np.pi * k * k / s1)) * l1, l1, 0.0,
                              np.pi * d_max**2, atom, 0.5 * h * h * (n_core * lnk - log_core))
 
-
-def fit_log_slope(ks, values) -> float:
-    return float(np.polyfit(np.log(np.asarray(ks, float)), np.asarray(values, float), 1)[0])

@@ -71,10 +71,14 @@ class PolarGrid:
         return self.r_nodes <= (np.inf if radius is None else radius) * (1 + 1e-12)
 
     def mesh(self):
-        return geometry(self).mesh
+        """Read-only (n_r, n_theta) views (R, T) of the two node vectors."""
+        shape = (self.n_r, self.n_theta)
+        return tuple(np.broadcast_to(v, shape) for v in (self.r_nodes[:, None], self.theta_nodes))
 
     def node_positions(self):
-        return geometry(self).positions
+        """Fresh planar node arrays (r cos theta, r sin theta)."""
+        r, t = self.r_nodes[:, None], self.theta_nodes
+        return r * np.cos(t), r * np.sin(t)
 
     @property
     def pole_volume(self) -> float:
@@ -92,10 +96,8 @@ class PolarGrid:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Read-only node and face arrays of one PolarGrid, each (n_r, n_theta)."""
+    """The read-only node and face arrays the operator reads, each (n_r, n_theta)."""
 
-    mesh: tuple            # (R, T)
-    positions: tuple       # planar (X, Y)
     weights: np.ndarray    # G dr dtheta, halved on the boundary ring
     a: np.ndarray          # radial face couplings; row 0 is the pole face
     b: np.ndarray          # angular face couplings
@@ -108,18 +110,16 @@ def geometry(grid: PolarGrid) -> Geometry:
     corpus that alternates two metrics; matrices are not cached."""
     m, dr, dth = grid.metric, grid.dr, grid.dtheta
     rn, tn = grid.r_nodes, grid.theta_nodes
-    R, T = np.meshgrid(rn, tn, indexing="ij")
-    weights = m.G(R, T) * dr * dth
+    weights = m.G(rn[:, None], tn) * dr * dth
     weights[-1] *= 0.5
     # radial faces at r_{i+1/2}; face 0 couples the pole to ring 0
     a = m.G((dr * (np.arange(grid.n_r) + 0.5))[:, None], tn) * dth / dr
     # angular faces at theta_{j+1/2} on each ring
     b = dr / (m.G(rn[:, None], tn + dth / 2) * dth)
-    X, Y = R * np.cos(T), R * np.sin(T)
-    for arr in (R, T, X, Y, weights, a, b):
+    for arr in (weights, a, b):
         arr.flags.writeable = False
     # the pole's weight V(B_{dr/2}), Simpson over 4 radial intervals
-    return Geometry((R, T), (X, Y), weights, a, b, ball_volume(m, dr / 2, 4))
+    return Geometry(weights, a, b, ball_volume(m, dr / 2, 4))
 
 
 @dataclass

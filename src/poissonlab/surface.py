@@ -302,4 +302,9 @@ def flux_exponent_fit(metric: MetricProfile) -> float | None:
     values = np.array([flux_variation(metric, r) for r in rhos])
     if np.any(values <= 0):
         return None
-    return float(np.polyfit(np.log(rhos), np.log(values), 1)[0])
+    return fit_log_slope(rhos, np.log(values))
+
+
+def fit_log_slope(ks, values) -> float:
+    """Least-squares slope of values on ln ks: the one estimator of a fitted rate."""
+    return float(np.polyfit(np.log(np.asarray(ks, float)), np.asarray(values, float), 1)[0])

@@ -125,6 +125,42 @@ class TestExperimentCase:
         with pytest.raises(ValueError, match="'modes': 9 exceeds n_theta // 2 = 8"):
             estimates.resolve_boundary(grid, {"kind": "fourier", "modes": 9}, 0)
 
+    @staticmethod
+    def _bump_loop(grid, bumps):
+        # the reference: one pass over the full meshgrid positions per bump,
+        # the pole apart
+        R, T = np.meshgrid(grid.r_nodes, grid.theta_nodes, indexing="ij")
+        X, Y = R * np.cos(T), R * np.sin(T)
+        vals, pole = np.zeros_like(X), 0.0
+        for b in bumps:
+            cx, cy = b.get("center", (0.0, 0.0))
+            vals += b["amp"] * estimates.eta_radial(b["k"] * np.hypot(X - cx, Y - cy))
+            pole += b["amp"] * float(estimates.eta_radial(b["k"] * np.hypot(cx, cy)))
+        return vals, pole
+
+    @pytest.mark.parametrize("name", ["flat", "sphere", "hyperbolic", "perturbed:0.05"])
+    def test_bumps_bitwise_per_bump_loop(self, name):
+        grid = pde.PolarGrid(surface.from_name(name), 24, 40, 1.0)
+        bumps = estimates._random_bumps_spec(np.random.default_rng(7), {}, 6)
+        bumps += [{"amp": -0.5, "k": 3}, {"amp": 2, "k": 5.0, "center": [1, 0]}]
+        for case in (bumps, []):
+            f = estimates._resolve_bumps(grid, case)
+            vals, pole = self._bump_loop(grid, case)
+            assert f.values.tobytes() == vals.tobytes()
+            assert np.float64(f.pole).tobytes() == np.float64(pole).tobytes()
+        assert not f.values.any() and f.pole == 0.0
+
+    @pytest.mark.parametrize("bumps, key", [
+        ([{"k": -1.0, "amp": "1"}], "k"),
+        ([{"center": 0.1, "k": -1.0, "amp": "1"}], "center"),
+        ([{"k": 4.0, "amp": "1"}, {"k": -1.0, "amp": 1.0}], "amp"),
+    ], ids=["k-and-amp", "center-k-and-amp", "first-bump-first"])
+    def test_bump_keys_checked_in_order(self, bumps, key):
+        # center, k, amp in turn, bump by bump: the first bad key is named
+        grid = pde.PolarGrid(surface.flat(), 16, 16, 1.0)
+        with pytest.raises(ValueError, match=f"spec key '{key}'"):
+            estimates.resolve_field(grid, {"kind": "bumps", "bumps": bumps}, 0)
+
     def test_support_restriction(self):
         grid = pde.PolarGrid(surface.flat(), 16, 16, 2.0)
         f = estimates.resolve_field(grid, {"kind": "constant", "value": 1.0,

@@ -51,6 +51,23 @@ class TestPolarGrid:
         with pytest.raises(ValueError, match="out of metric range"):
             pde.PolarGrid(surface.flat(), 16, 16, float("nan"))
 
+    @pytest.mark.parametrize("name", ["flat", "sphere", "hyperbolic", "perturbed:0.05"])
+    def test_node_coordinates_from_node_vectors(self, name):
+        # mesh() views the two node vectors and node_positions() and the weights
+        # are built from them: each is bitwise its full-meshgrid product
+        for n_r, n_theta in ((8, 8), (17, 29), (64, 96)):
+            grid = pde.PolarGrid(surface.from_name(name), n_r, n_theta, 1.0)
+            R, T = np.meshgrid(grid.r_nodes, grid.theta_nodes, indexing="ij")
+            mesh, positions = grid.mesh(), grid.node_positions()
+            assert [m.tobytes() for m in mesh] == [R.tobytes(), T.tobytes()]
+            assert not any(m.flags.writeable for m in mesh)
+            assert [p.tobytes() for p in positions] == [(R * np.cos(T)).tobytes(),
+                                                        (R * np.sin(T)).tobytes()]
+            assert all(p.flags.writeable for p in positions)  # fresh arrays, not cached
+            w = grid.metric.G(R, T) * grid.dr * grid.dtheta
+            w[-1] *= 0.5
+            assert grid.node_weights().tobytes() == w.tobytes()
+
 
 class TestOperator:
     def test_symmetry(self):
